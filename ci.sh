@@ -7,13 +7,14 @@ cargo build --release --examples
 cargo test -q
 cargo test -q --test scheduling_equivalence
 cargo test -q --test analysis_equivalence
-cargo test -q --test cache_robustness
-cargo test -q --test cache_equivalence
 cargo test -q --test segment_robustness
 cargo test -q --test segment_equivalence
 cargo test -q --test query_proptest
 cargo test -q --test query_equivalence
 cargo bench --no-run --workspace
+# The benchmark builds against the library by path: an API break must
+# fail here, not at benchmark time.
+cargo build --release --manifest-path perfbench/Cargo.toml
 cargo clippy -- -D warnings
 cargo clippy -p wm-lint -- -D warnings
 cargo fmt --check
@@ -44,19 +45,19 @@ for rule in $(target/release/wm-lint --rules); do
 done
 
 # Smoke test: a tiny corpus through the single-pass analysis engine,
-# then through the longitudinal cache (index populates, analyze hits).
+# then through the segment store: `index` builds and validates the
+# segments, a full-history `analyze --cache` merges every segment, and a
+# six-hour window is served from only the segments it intersects.
+# (Plain grep, not -q: quitting at the first match closes the pipe
+# mid-print.)
 smoke_dir="$(mktemp -d)"
 target/release/ovh-weather generate --out "$smoke_dir" --from 2022-02-01 --to 2022-02-02 --map europe --scale 0.05
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --metrics
 target/release/ovh-weather index --in "$smoke_dir" --map europe --threads 2
-target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache --metrics | grep -q "cache:"
-# Segment store: compact into time-sharded segments, then serve a
-# six-hour window from only the segments it intersects. (Plain grep, not
-# -q: quitting at the first match closes the pipe mid-print.)
-target/release/ovh-weather index --in "$smoke_dir" --map europe --threads 2 --compact --metrics | grep "segments:" > /dev/null
+target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache --metrics | grep "segments:" > /dev/null
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache --metrics \
     --from 2022-02-01T06:00:00Z --to 2022-02-01T12:00:00Z | grep "segments:" > /dev/null
-# Vectorized query engine: a windowed ad-hoc query over the compacted
+# Vectorized query engine: a windowed ad-hoc query over the indexed
 # corpus, text and JSON modes.
 target/release/ovh-weather query --in "$smoke_dir" --map europe --threads 2 --op topk --k 5 \
     --from 2022-02-01T06:00:00Z --to 2022-02-01T12:00:00Z | grep "snapshots," > /dev/null

@@ -12,14 +12,14 @@ use ovh_weather::analysis::{
     coverage_segments, detect_changes, evolution_series, maintenance_windows, site_growth, table1,
     GapDistribution,
 };
+use ovh_weather::dataset::TempDir;
 use ovh_weather::prelude::*;
 
 /// Materialises three hours of the Europe map into a temp store shared
 /// by every bench iteration.
-fn corpus_store() -> DatasetStore {
-    let dir = std::env::temp_dir().join(format!("wm-bench-analyze-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = DatasetStore::open(&dir).expect("bench corpus dir");
+fn corpus_store() -> (TempDir, DatasetStore) {
+    let dir = TempDir::new("bench-analyze").expect("bench corpus dir");
+    let store = DatasetStore::open(dir.path()).expect("bench corpus dir");
     let pipeline = Pipeline::new(SimulationConfig::scaled(42, 0.15));
     let from = Timestamp::from_ymd(2022, 2, 1);
     pipeline
@@ -30,7 +30,7 @@ fn corpus_store() -> DatasetStore {
             from + Duration::from_hours(3),
         )
         .expect("materialise bench corpus");
-    store
+    (dir, store)
 }
 
 /// The pre-suite analysis path: every §5 module re-loads the corpus.
@@ -99,7 +99,7 @@ fn single_pass(store: &DatasetStore, threads: usize) -> usize {
 }
 
 fn bench_analyze(c: &mut Criterion) {
-    let store = corpus_store();
+    let (_dir, store) = corpus_store();
     let mut group = c.benchmark_group("analyze/europe-3h");
     group.sample_size(10);
     for threads in [1usize, 4, 8] {
@@ -111,7 +111,6 @@ fn bench_analyze(c: &mut Criterion) {
         });
     }
     group.finish();
-    let _ = std::fs::remove_dir_all(store.root());
 }
 
 criterion_group!(benches, bench_analyze);

@@ -12,16 +12,17 @@
 use std::collections::BTreeMap;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ovh_weather::dataset::TempDir;
 use ovh_weather::prelude::*;
 
 const MAP: MapKind = MapKind::Europe;
 const THREADS: usize = 4;
 
-/// Two hours of the Europe map, loaded once into the columnar store.
-fn corpus_store() -> (DatasetStore, LongitudinalStore) {
-    let dir = std::env::temp_dir().join(format!("wm-bench-query-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = DatasetStore::open(&dir).expect("bench corpus dir");
+/// Two hours of the Europe map, loaded once into the columnar store (the
+/// YAML corpus is removed once loaded).
+fn corpus_store() -> LongitudinalStore {
+    let dir = TempDir::new("bench-query").expect("bench corpus dir");
+    let store = DatasetStore::open(dir.path()).expect("bench corpus dir");
     let pipeline = Pipeline::new(SimulationConfig::scaled(42, 0.15));
     let from = Timestamp::from_ymd(2022, 2, 1);
     let to = from + Duration::from_hours(2);
@@ -29,7 +30,7 @@ fn corpus_store() -> (DatasetStore, LongitudinalStore) {
         .materialize_window(&store, MAP, from, to)
         .expect("materialise bench corpus");
     let (columnar, _) = build_longitudinal(&store, MAP, THREADS).expect("columnar build");
-    (store, columnar)
+    columnar
 }
 
 /// The display form the engine uses for a link's canonical orientation.
@@ -101,7 +102,7 @@ fn reconstruct_percentile_windows(store: &LongitudinalStore, window: Duration) -
 }
 
 fn bench_query(c: &mut Criterion) {
-    let (store, columnar) = corpus_store();
+    let columnar = corpus_store();
     let mut group = c.benchmark_group("query/europe-2h");
     group.sample_size(10);
 
@@ -155,7 +156,6 @@ fn bench_query(c: &mut Criterion) {
     });
 
     group.finish();
-    let _ = std::fs::remove_dir_all(store.root());
 }
 
 criterion_group!(benches, bench_query);

@@ -1,5 +1,5 @@
-//! Time-sharded segment store: windowed loads vs the monolithic cache,
-//! plus the append-and-compact path.
+//! Time-sharded segment store: full-range and windowed loads, plus the
+//! append-and-compact path.
 //!
 //! The segment store exists so a small-window `analyze --from/--to`
 //! decodes only the segments its range intersects and an append
@@ -9,6 +9,7 @@
 //! pool shows up as a wall-clock change.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ovh_weather::dataset::TempDir;
 use ovh_weather::prelude::*;
 
 const MAP: MapKind = MapKind::Europe;
@@ -17,17 +18,16 @@ const POLICY: SegmentPolicy = SegmentPolicy { capacity: 6 };
 
 /// Two hours of the Europe map plus the timestamps bracketing the
 /// newest half hour (for the append shape).
-fn corpus_store() -> (DatasetStore, Timestamp, Timestamp) {
-    let dir = std::env::temp_dir().join(format!("wm-bench-segments-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = DatasetStore::open(&dir).expect("bench corpus dir");
+fn corpus_store() -> (TempDir, DatasetStore, Timestamp, Timestamp) {
+    let dir = TempDir::new("bench-segments").expect("bench corpus dir");
+    let store = DatasetStore::open(dir.path()).expect("bench corpus dir");
     let pipeline = Pipeline::new(SimulationConfig::scaled(42, 0.15));
     let from = Timestamp::from_ymd(2022, 2, 1);
     let to = from + Duration::from_hours(2);
     pipeline
         .materialize_window(&store, MAP, from, to)
         .expect("materialise bench corpus");
-    (store, from, to)
+    (dir, store, from, to)
 }
 
 fn windowed(
@@ -40,7 +40,7 @@ fn windowed(
 }
 
 fn bench_segments(c: &mut Criterion) {
-    let (store, from, to) = corpus_store();
+    let (_dir, store, from, to) = corpus_store();
     let mut group = c.benchmark_group("segments/europe-2h");
     group.sample_size(10);
 
@@ -127,7 +127,6 @@ fn bench_segments(c: &mut Criterion) {
     });
 
     group.finish();
-    let _ = std::fs::remove_dir_all(store.root());
 }
 
 criterion_group!(benches, bench_segments);

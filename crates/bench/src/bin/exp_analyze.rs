@@ -16,6 +16,7 @@ use ovh_weather::analysis::{
     coverage_segments, detect_changes, evolution_series, maintenance_windows, site_growth, table1,
     GapDistribution,
 };
+use ovh_weather::dataset::TempDir;
 use ovh_weather::prelude::*;
 
 struct Options {
@@ -149,9 +150,8 @@ fn main() {
         options.seed, options.scale, options.hours, options.threads
     );
 
-    let dir = std::env::temp_dir().join(format!("wm-exp-analyze-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = DatasetStore::open(&dir).expect("corpus dir");
+    let dir = TempDir::new("exp-analyze").expect("corpus dir");
+    let store = DatasetStore::open(dir.path()).expect("corpus dir");
     let pipeline = Pipeline::new(SimulationConfig::scaled(options.seed, options.scale));
     let from = Timestamp::from_ymd(2022, 2, 1);
     let to = from + Duration::from_hours(options.hours);
@@ -193,6 +193,4 @@ fn main() {
             }
         );
     }
-
-    std::fs::remove_dir_all(store.root()).expect("cleanup");
 }

@@ -21,6 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use ovh_weather::dataset::TempDir;
 use ovh_weather::prelude::*;
 
 const MAP: MapKind = MapKind::Europe;
@@ -397,9 +398,8 @@ fn main() {
     let templates = result.snapshots;
     assert!(!templates.is_empty(), "template extraction came up empty");
 
-    let dir = std::env::temp_dir().join(format!("wm-exp-query-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = DatasetStore::open(&dir).expect("corpus dir");
+    let dir = TempDir::new("exp-query").expect("corpus dir");
+    let store = DatasetStore::open(dir.path()).expect("corpus dir");
     let hours = options.days * 24;
     for h in 0..hours {
         let mut s = templates[h as usize % templates.len()].clone();

@@ -14,12 +14,13 @@
 //! loads of shrinking spans, and — the headline — the cost of
 //! appending one snapshot and re-querying a small window, which must
 //! stay flat as history grows. Every full-range load is compared
-//! against the monolithic `build_longitudinal` path; the numbers are
+//! against the uncached `build_longitudinal` path; the numbers are
 //! only printed if the answers are identical.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use ovh_weather::dataset::TempDir;
 use ovh_weather::prelude::*;
 
 const MAP: MapKind = MapKind::Europe;
@@ -138,10 +139,8 @@ fn main() {
     let mut rows: Vec<HistoryRow> = Vec::new();
 
     for &days in &options.days {
-        let dir =
-            std::env::temp_dir().join(format!("wm-exp-segments-{}d-{}", days, std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = DatasetStore::open(&dir).expect("corpus dir");
+        let dir = TempDir::new(&format!("exp-segments-{days}d")).expect("corpus dir");
+        let store = DatasetStore::open(dir.path()).expect("corpus dir");
         let hours = days * 24;
         for h in 0..hours {
             let mut s = templates[h as usize % templates.len()].clone();
@@ -164,14 +163,14 @@ fn main() {
         });
         assert_eq!(build_stats.cache.misses, 1);
 
-        // Warm full-range load, checked against the monolithic path.
+        // Warm full-range load, checked against the uncached path.
         let ((full, full_stats), full_s) = timed(|| {
             build_longitudinal_windowed(&store, MAP, TimeRange::ALL, threads, CacheMode::Auto)
                 .expect("full")
         });
         assert_eq!(full_stats.cache.hits, 1);
         let (reference, _) = build_longitudinal(&store, MAP, threads).expect("reference");
-        assert_eq!(full, reference, "{days}d: windowed ≠ monolithic");
+        assert_eq!(full, reference, "{days}d: windowed ≠ uncached");
         let report = AnalysisSuite::run(SuiteConfig::default(), full.snapshots());
         let reference_report = AnalysisSuite::run(SuiteConfig::default(), reference.snapshots());
         assert_eq!(report, reference_report, "{days}d: reports differ");
@@ -227,10 +226,9 @@ fn main() {
             append_s,
             windows,
         });
-        std::fs::remove_dir_all(store.root()).expect("cleanup");
     }
 
-    println!("full-range windowed loads identical to the monolithic path: yes\n");
+    println!("full-range windowed loads identical to the uncached path: yes\n");
     println!(
         "{:>6} {:>7} {:>9} {:>10} {:>10} {:>12}   windows (touched/total)",
         "days", "files", "segments", "build s", "full s", "append+6h s"

@@ -4,6 +4,7 @@
 //! prints the measured cells, and projects the full-period corpus using
 //! the paper's file counts with the measured mean file sizes.
 
+use ovh_weather::dataset::TempDir;
 use ovh_weather::prelude::*;
 use wm_bench::{compare_row, ExpOptions};
 
@@ -12,9 +13,8 @@ fn main() {
     options.banner("exp_table2", "Table 2 (collected and processed files)");
     let pipeline = options.pipeline();
 
-    let dir = std::env::temp_dir().join(format!("wm-exp-table2-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = DatasetStore::open(&dir).expect("corpus dir");
+    let dir = TempDir::new("exp-table2").expect("corpus dir");
+    let store = DatasetStore::open(dir.path()).expect("corpus dir");
 
     let from = Timestamp::from_ymd(2022, 2, 14);
     let to = Timestamp::from_ymd(2022, 2, 16);
@@ -95,5 +95,4 @@ fn main() {
             &format!("{:.1}x", svg.bytes as f64 / yaml.bytes as f64)
         )
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,7 @@
 //! ovh-weather generate --out DIR --from DATE --to DATE [--map M] [--seed N] [--scale X]
 //! ovh-weather extract  --in DIR [--map M] [--threads N] [--metrics]
 //! ovh-weather stats    --in DIR [--cache[=auto|off|rebuild]] [--threads N]
-//! ovh-weather index    --in DIR [--map M] [--threads N] [--cache[=auto|rebuild]] [--compact] [--metrics]
+//! ovh-weather index    --in DIR [--map M] [--threads N] [--cache[=auto|rebuild]] [--metrics]
 //! ovh-weather inspect  FILE.svg|FILE.yaml [--map M]
 //! ovh-weather validate FILE.yaml
 //! ovh-weather verify   [--map M] [--at DATE] [--seed N] [--scale X]
@@ -19,18 +19,19 @@
 //! `generate` materialises a simulated corpus (SVG + YAML trees, exactly
 //! the released dataset's layout); `extract` re-extracts the SVG files of
 //! an existing corpus; `stats` prints Table 2 for a corpus directory;
-//! `index` prebuilds the binary longitudinal cache so later `analyze
-//! --cache` runs skip YAML entirely (`--compact` builds and validates
-//! the time-sharded segment store instead, repairing any damaged
-//! segment); `inspect` extracts or parses one file and summarises it;
-//! `validate` audits a YAML snapshot; `verify` runs the simulator
-//! round-trip check; `analyze` loads a stored corpus into the columnar
-//! longitudinal store and runs all nine §5 analyses in one pass —
-//! `--from`/`--to` restrict it to a time window served from only the
-//! segments the window intersects; `query` compiles one typed query
-//! (scan, top-k, percentiles, per-site loads or a heatmap grid) to
-//! vectorized kernels over the columnar load rows and emits text or
-//! JSON; `diff` names the structural changes between two snapshots.
+//! `index` builds the time-sharded segment store and validates every
+//! segment against the corpus by content hash, repairing any damaged or
+//! stale one, so later `--cache` runs skip YAML entirely; `inspect`
+//! extracts or parses one file and summarises it; `validate` audits a
+//! YAML snapshot; `verify` runs the simulator round-trip check;
+//! `analyze` loads a stored corpus into the columnar longitudinal store
+//! and runs all nine §5 analyses in one pass — with `--cache` the store
+//! is merged from the segments, and `--from`/`--to` restrict it to a
+//! time window served from only the segments the window intersects;
+//! `query` compiles one typed query (scan, top-k, percentiles, per-site
+//! loads or a heatmap grid) to vectorized kernels over the columnar load
+//! rows and emits text or JSON; `diff` names the structural changes
+//! between two snapshots.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
@@ -76,7 +77,7 @@ commands:
   generate --out DIR --from YYYY-MM-DD --to YYYY-MM-DD [--map M] [--seed N] [--scale X]
   extract  --in DIR [--map M] [--threads N] [--metrics]
   stats    --in DIR [--cache[=auto|off|rebuild]] [--threads N]
-  index    --in DIR [--map M] [--threads N] [--cache[=auto|rebuild]] [--compact] [--metrics]
+  index    --in DIR [--map M] [--threads N] [--cache[=auto|rebuild]] [--metrics]
   inspect  FILE.svg|FILE.yaml [--map M]
   validate FILE.yaml
   verify   [--map M] [--at YYYY-MM-DD] [--seed N] [--scale X]
@@ -93,8 +94,7 @@ common options:
   --scale X    network scale, 1.0 = paper size (default 0.2)
   --map M      europe|world|north-america|asia-pacific (default all/europe)
   --threads N  extraction / corpus-loading workers (default: available parallelism)
-  --cache[=M]  longitudinal cache mode: auto (bare --cache), off, rebuild
-  --compact    (index) build/validate the time-sharded segment store
+  --cache[=M]  segment store mode: auto (bare --cache), off, rebuild
   --from/--to  (analyze, query) restrict to [from, to), served from segments
   --op OP      (query) kernel to run (default scan)
   --k N        (query --op topk) links to return (default 10)
@@ -107,7 +107,7 @@ common options:
 /// Options that are boolean switches rather than `--key value` pairs.
 /// `cache` is a switch with an optional mode: bare `--cache` means
 /// `auto`, and `--cache=MODE` selects one explicitly.
-const FLAG_KEYS: &[&str] = &["metrics", "cache", "compact", "json"];
+const FLAG_KEYS: &[&str] = &["metrics", "cache", "json"];
 
 /// Parsed `--key value` options, boolean `--flag`s and positionals.
 struct Options {
@@ -336,7 +336,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let mode = options.cache_mode()?;
     if mode != CacheMode::Off {
         // With caching requested, also summarise each map's longitudinal
-        // store — served from (and persisted to) the cache.
+        // store — merged from (and persisted to) the segment store.
         let threads = options.threads()?;
         for map in options.maps()? {
             let (columnar, load_stats) =
@@ -358,16 +358,16 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One-word description of what the cache-aware load did.
+/// A short description of what a segment-backed load did.
 fn cache_outcome(cache: &CacheStats) -> &'static str {
-    if cache.hits > 0 {
-        "cache hit"
+    if cache.corrupt + cache.stale > 0 {
+        "damaged or stale segments rebuilt"
+    } else if cache.hits > 0 {
+        "segments up to date"
     } else if cache.appends > 0 {
-        "cache append"
-    } else if cache.corrupt > 0 {
-        "cache corrupt, rebuilt"
+        "segments extended"
     } else if cache.misses > 0 {
-        "cache miss, rebuilt"
+        "segments built"
     } else {
         "cache off"
     }
@@ -377,38 +377,39 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
     let options = Options::parse(args)?;
     let dir = options.required("in")?;
     let threads = options.threads()?;
-    // `index` exists to build the cache, so bare invocations default to
-    // `auto` (refresh if stale) instead of `off`.
+    // `index` exists to build the segment store, so bare invocations
+    // default to `auto` (refresh what is stale) instead of `off`.
     let mode = match options.cache_mode()? {
         CacheMode::Off => CacheMode::Auto,
         mode => mode,
     };
     let store = DatasetStore::open_existing(dir).map_err(|e| e.to_string())?;
-    if options.flag("compact") {
-        return cmd_index_compact(&store, &options, threads, mode);
-    }
     let mut maps_indexed = 0usize;
     for map in options.maps()? {
         let started = std::time::Instant::now();
-        let (columnar, load_stats) =
-            build_longitudinal_cached(&store, map, threads, mode).map_err(|e| e.to_string())?;
-        if columnar.is_empty() {
+        let (manifest, load_stats) =
+            reindex_segments(&store, map, threads, mode).map_err(|e| e.to_string())?;
+        if manifest.segments.is_empty() {
             continue;
         }
         maps_indexed += 1;
-        let cache_bytes = std::fs::metadata(store.cache_path(map))
-            .map(|m| m.len())
-            .unwrap_or(0);
+        let bytes: u64 = manifest
+            .segments
+            .iter()
+            .filter_map(|m| std::fs::metadata(store.segment_path(map, &m.name)).ok())
+            .map(|meta| meta.len())
+            .sum();
         println!(
-            "{:<15} indexed {} snapshots into {:.1} MiB cache in {:.2?} [{}]",
+            "{:<15} indexed {} snapshots into {} segment(s), {:.1} MiB, in {:.2?} [{}]",
             map.display_name(),
-            columnar.len(),
-            cache_bytes as f64 / (1024.0 * 1024.0),
+            load_stats.parsed,
+            manifest.segments.len(),
+            bytes as f64 / (1024.0 * 1024.0),
             started.elapsed(),
             cache_outcome(&load_stats.cache),
         );
         if options.flag("metrics") {
-            print_load_metrics(&load_stats, &columnar, threads);
+            print!("{}", load_metrics(&load_stats, threads));
         }
     }
     if maps_indexed == 0 {
@@ -417,68 +418,11 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `index --compact`: brings the time-sharded segment store of every
-/// map in line with the corpus, validating (and repairing) each
-/// segment file on the way.
-fn cmd_index_compact(
-    store: &DatasetStore,
-    options: &Options,
-    threads: usize,
-    mode: CacheMode,
-) -> Result<(), String> {
-    let mut maps_indexed = 0usize;
-    for map in options.maps()? {
-        let started = std::time::Instant::now();
-        let (manifest, load_stats) =
-            reindex_segments(store, map, threads, mode).map_err(|e| e.to_string())?;
-        if manifest.segments.is_empty() {
-            continue;
-        }
-        maps_indexed += 1;
-        let snapshots: u64 = manifest.segments.iter().map(|m| m.snapshots).sum();
-        println!(
-            "{:<15} compacted {} snapshots into {} segment(s) in {:.2?} [{}]",
-            map.display_name(),
-            snapshots,
-            manifest.segments.len(),
-            started.elapsed(),
-            cache_outcome(&load_stats.cache),
-        );
-        if options.flag("metrics") {
-            print_segment_metrics(&load_stats, threads);
-        }
-    }
-    if maps_indexed == 0 {
-        return Err("no YAML snapshots to compact".to_owned());
-    }
-    Ok(())
-}
-
-/// The corpus/cache counter block of a segment-store operation, where
-/// no columnar store is materialised.
-fn print_segment_metrics(load_stats: &CorpusLoadStats, threads: usize) {
-    println!(
-        "corpus: {} files, {} parsed, {} failed, {:.1} MiB ({threads} threads)",
-        load_stats.files,
-        load_stats.parsed,
-        load_stats.failed,
-        load_stats.bytes as f64 / (1024.0 * 1024.0),
-    );
-    let c = &load_stats.cache;
-    println!(
-        "cache: {} hit, {} miss, {} append, {} corrupt, {} stale; {} snapshots from cache, {} appended",
-        c.hits, c.misses, c.appends, c.corrupt, c.stale, c.snapshots_from_cache, c.snapshots_appended
-    );
-    println!(
-        "segments: {} touched, {} rebuilt",
-        c.segments_touched, c.segments_rebuilt
-    );
-}
-
-/// The deterministic corpus/cache counter block behind `--metrics`.
-fn print_load_metrics(load_stats: &CorpusLoadStats, columnar: &LongitudinalStore, threads: usize) {
-    println!(
-        "corpus: {} files, {} parsed, {} failed, {:.1} MiB read ({threads} threads)",
+/// The deterministic corpus/cache counter block behind `--metrics`,
+/// one line per layer.
+fn load_metrics(load_stats: &CorpusLoadStats, threads: usize) -> String {
+    let mut out = format!(
+        "corpus: {} files, {} parsed, {} failed, {:.1} MiB ({threads} threads)\n",
         load_stats.files,
         load_stats.parsed,
         load_stats.failed,
@@ -486,32 +430,16 @@ fn print_load_metrics(load_stats: &CorpusLoadStats, columnar: &LongitudinalStore
     );
     let c = &load_stats.cache;
     if !c.is_empty() {
-        println!(
-            "cache: {} hit, {} miss, {} append, {} corrupt, {} stale; {} snapshots from cache, {} appended",
-            c.hits,
-            c.misses,
-            c.appends,
-            c.corrupt,
-            c.stale,
-            c.snapshots_from_cache,
-            c.snapshots_appended
-        );
-        if c.segments_touched > 0 || c.segments_rebuilt > 0 {
-            println!(
-                "segments: {} touched, {} rebuilt",
-                c.segments_touched, c.segments_rebuilt
-            );
-        }
+        out.push_str(&format!(
+            "cache: {} hit, {} miss, {} append, {} corrupt, {} stale; {} snapshots from cache, {} appended\n",
+            c.hits, c.misses, c.appends, c.corrupt, c.stale, c.snapshots_from_cache, c.snapshots_appended
+        ));
+        out.push_str(&format!(
+            "segments: {} touched, {} rebuilt\n",
+            c.segments_touched, c.segments_rebuilt
+        ));
     }
-    println!(
-        "columnar store: {} snapshots, {} nodes, {} link identities, {} load rows, {} topology events, ~{:.1} MiB",
-        columnar.len(),
-        columnar.nodes().len(),
-        columnar.link_defs().len(),
-        columnar.observations(),
-        columnar.events().len(),
-        columnar.approx_bytes() as f64 / (1024.0 * 1024.0)
-    );
+    out
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
@@ -603,7 +531,16 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         println!("=== {} ===", map.display_name());
         print!("{}", report.render());
         if options.flag("metrics") {
-            print_load_metrics(&load_stats, &columnar, threads);
+            print!("{}", load_metrics(&load_stats, threads));
+            println!(
+                "columnar store: {} snapshots, {} nodes, {} link identities, {} load rows, {} topology events, ~{:.1} MiB",
+                columnar.len(),
+                columnar.nodes().len(),
+                columnar.link_defs().len(),
+                columnar.observations(),
+                columnar.events().len(),
+                columnar.approx_bytes() as f64 / (1024.0 * 1024.0)
+            );
             println!("{}", kernel_metrics_line(&kernel_stats));
             println!("corpus load: {load_elapsed:.2?}");
             println!("single-pass analysis: {analyze_elapsed:.2?}");
@@ -646,21 +583,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         }
         if options.flag("metrics") {
             // Diagnostics go to stderr so `--json` output stays parseable.
-            eprintln!(
-                "corpus: {} files, {} parsed, {} failed, {:.1} MiB ({threads} threads)",
-                load_stats.files,
-                load_stats.parsed,
-                load_stats.failed,
-                load_stats.bytes as f64 / (1024.0 * 1024.0),
-            );
-            let c = &load_stats.cache;
-            if !c.is_empty() {
-                eprintln!(
-                    "cache: {} hit, {} miss, {} append, {} corrupt, {} stale; segments: {} touched, {} rebuilt",
-                    c.hits, c.misses, c.appends, c.corrupt, c.stale,
-                    c.segments_touched, c.segments_rebuilt
-                );
-            }
+            eprint!("{}", load_metrics(&load_stats, threads));
             eprintln!("{}", kernel_metrics_line(&kernel_stats));
             eprintln!("query wall: {elapsed:.2?}");
         }

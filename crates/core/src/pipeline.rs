@@ -290,10 +290,8 @@ mod tests {
     #[test]
     fn materialize_writes_svg_and_yaml() {
         let p = pipeline();
-        let dir =
-            std::env::temp_dir().join(format!("ovh-weather-pipeline-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = DatasetStore::open(&dir).unwrap();
+        let dir = wm_dataset::TempDir::new("pipeline-test").unwrap();
+        let store = DatasetStore::open(dir.path()).unwrap();
         // Within the Asia-Pacific availability window (it has a year-long
         // collection hole from late 2020 to late 2021).
         let from = Timestamp::from_ymd(2022, 2, 1);
@@ -322,6 +320,5 @@ mod tests {
             result.metrics.stage(Stage::YamlEmit).count() as usize,
             result.stats.processed
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,12 +1,12 @@
-//! The versioned binary cache codec for [`LongitudinalStore`].
+//! The versioned binary image of a [`LongitudinalStore`] — the payload
+//! of every [`crate::segment`] file.
 //!
-//! Every `analyze`/`stats` run before this module re-parsed the whole
-//! YAML corpus from scratch — and EXPERIMENTS.md's single-pass table
-//! shows that parse dominating end-to-end time. The paper's own workflow
-//! (§4–§5) analyses one frozen corpus many times, which is exactly the
-//! shape a persisted cache amortises: parse once, reload in milliseconds.
+//! Re-parsing YAML dominates an uncached load, and the paper's own
+//! workflow (§4–§5) analyses one frozen corpus many times: parse once,
+//! reload in milliseconds. This codec is the part of the segment store
+//! that makes the reload cheap; it is not a cache file of its own.
 //!
-//! # On-disk format (version 1)
+//! # Image format (version 1)
 //!
 //! ```text
 //! [ magic "OVHWMLC\n" (8 bytes) ][ u32 format version ]
@@ -39,7 +39,7 @@
 //! Decoding never panics: every read is bounds-checked, every id and load
 //! is validated, and any violation (truncation, bad magic, unknown
 //! version, CRC mismatch, dangling id) surfaces as [`CacheError`] so the
-//! caller can fall back to a clean YAML rebuild.
+//! segment store can rebuild that one segment from YAML.
 
 use std::fmt;
 
@@ -48,7 +48,7 @@ use wm_model::{GroupDelta, Load, MapKind, Node, NodeKind, SnapshotDiff, Timestam
 use crate::loader::CorpusLoadStats;
 use crate::longitudinal::{LinkDef, LongitudinalStore, NodeId, TopologyEvent};
 
-/// The eight magic bytes opening every cache file.
+/// The eight magic bytes opening every store image.
 pub const CACHE_MAGIC: [u8; 8] = *b"OVHWMLC\n";
 
 /// The current cache format version. Bump on any layout change; older
@@ -163,15 +163,36 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// One FNV-1a step.
+fn fnv_step(h: u64, byte: &u8) -> u64 {
+    (h ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
 /// FNV-1a 64-bit hash — the per-file content hash of the fingerprint.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    bytes.iter().fold(FNV_OFFSET, fnv_step)
+}
+
+/// [`fnv1a`] of four byte strings at once, equal to four separate
+/// calls. One chain is bound by the multiply's latency; four
+/// independent chains stepped together keep the multiplier busy, which
+/// is what makes content-checking a whole corpus cheap.
+#[must_use]
+pub(crate) fn fnv1a_x4(inputs: [&[u8]; 4]) -> [u64; 4] {
+    let [a, b, c, d] = inputs;
+    let [mut ha, mut hb, mut hc, mut hd] = [FNV_OFFSET; 4];
+    for (((x, y), z), w) in a.iter().zip(b).zip(c).zip(d) {
+        ha = fnv_step(ha, x);
+        hb = fnv_step(hb, y);
+        hc = fnv_step(hc, z);
+        hd = fnv_step(hd, w);
     }
-    h
+    let common = a.len().min(b.len()).min(c.len()).min(d.len());
+    let rest = |bytes: &[u8], h: u64| bytes.get(common..).unwrap_or(&[]).iter().fold(h, fnv_step);
+    [rest(a, ha), rest(b, hb), rest(c, hc), rest(d, hd)]
 }
 
 // ---------------------------------------------------------------------------
@@ -192,9 +213,10 @@ pub struct FingerprintEntry {
 /// The identity of one map's YAML corpus: every snapshot file's relative
 /// path, length and content hash, in timestamp order.
 ///
-/// Only layout-conforming snapshot files participate — the cache file
-/// itself, editor backups and other foreign files in the corpus tree
-/// never influence the fingerprint (see [`crate::paths::parse_path`]).
+/// Only layout-conforming snapshot files participate — the segment
+/// store itself, editor backups and other foreign files in the corpus
+/// tree never influence the fingerprint (see
+/// [`crate::paths::parse_path`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CorpusFingerprint {
     /// Per-file identities, sorted by snapshot timestamp.
@@ -223,21 +245,6 @@ impl CorpusFingerprint {
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
         h
-    }
-
-    /// When `newer` extends `self` by appending files (same prefix, at
-    /// least one extra entry), returns how many entries the shared prefix
-    /// holds. Returns `None` when `newer` is not a strict extension.
-    #[must_use]
-    pub fn strict_prefix_of(&self, newer: &CorpusFingerprint) -> Option<usize> {
-        if newer.entries.len() <= self.entries.len() {
-            return None;
-        }
-        self.entries
-            .iter()
-            .zip(&newer.entries)
-            .all(|(a, b)| a == b)
-            .then_some(self.entries.len())
     }
 }
 
@@ -933,19 +940,21 @@ mod tests {
     }
 
     #[test]
-    fn strict_prefix_detection() {
+    fn digest_reacts_to_any_entry_change() {
         let full = sample_fingerprint();
-        let prefix = CorpusFingerprint {
-            entries: full.entries[..1].to_vec(),
-        };
-        assert_eq!(prefix.strict_prefix_of(&full), Some(1));
-        assert_eq!(full.strict_prefix_of(&full), None, "equal is not strict");
-        assert_eq!(full.strict_prefix_of(&prefix), None, "shrunk corpus");
         let mut diverged = full.clone();
         diverged.entries[0].hash ^= 1;
-        assert_eq!(prefix.strict_prefix_of(&diverged), None);
-        // Digest reacts to any entry change.
         assert_ne!(full.digest(), diverged.digest());
+    }
+
+    #[test]
+    fn fnv1a_matches_known_vectors_and_its_four_lane_form() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_F739_67E8);
+        let inputs: [&[u8]; 4] = [b"foobar", b"", b"a longer input string", b"a"];
+        assert_eq!(fnv1a_x4(inputs), inputs.map(fnv1a));
     }
 
     #[test]

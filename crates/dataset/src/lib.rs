@@ -14,19 +14,23 @@
 //!   node/link symbol tables, per-link load time series and the topology
 //!   event log, built in one deterministic streaming pass;
 //! * [`loader`] — the shared parallel YAML corpus loader feeding either a
-//!   snapshot vector or the columnar store, with a cache-aware entry
-//!   point ([`build_longitudinal_cached`]) that fingerprints the corpus;
-//! * [`codec`] — the versioned, checksummed binary cache format that
-//!   persists a built store so later runs skip YAML entirely;
+//!   snapshot vector or the columnar store;
+//! * [`codec`] — the versioned, checksummed binary image of a store and
+//!   its corpus fingerprint: the payload of every segment file;
 //! * [`query`] — the vectorized query engine: typed [`wm_model::Query`]
 //!   plans compiled to per-column kernels (scan, top-k, windowed
 //!   percentiles, site loads, heatmap bucketing) that run directly over
 //!   the CSR load rows, deterministically at any thread count;
-//! * [`segment`] / [`segments`] — the time-sharded segment store:
-//!   sealed immutable window segments plus an active tail, a manifest
-//!   mapping time spans to segment files, windowed loads
-//!   ([`build_longitudinal_windowed`]) that decode only intersecting
-//!   segments, and synchronous compaction ([`reindex_segments`]).
+//! * [`segment`] / [`segments`] — the time-sharded segment store, the
+//!   one persistent form of a map's history: sealed immutable window
+//!   segments plus an active tail, a manifest mapping time spans to
+//!   segment files, and one loader behind every cached load — windowed
+//!   ([`build_longitudinal_windowed`]), full-history
+//!   ([`build_longitudinal_cached`]) and `index`
+//!   ([`reindex_segments`]) — that decodes only intersecting segments
+//!   and merges their columns without rebuilding snapshots;
+//! * [`TempDir`] — self-cleaning scratch directories for the tests,
+//!   benches and examples that materialise a corpus.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,13 +44,12 @@ pub mod segment;
 pub mod segments;
 mod stats;
 mod store;
+mod temp;
 
 pub use codec::{
     decode_store, encode_store, CacheError, CorpusFingerprint, FingerprintEntry, CACHE_MAGIC,
 };
-pub use loader::{
-    build_longitudinal, build_longitudinal_cached, load_snapshots, CacheMode, CorpusLoadStats,
-};
+pub use loader::{build_longitudinal, load_snapshots, CacheMode, CorpusLoadStats};
 pub use longitudinal::{
     extract_longitudinal, ColumnarBuilder, LinkDef, LinkId, LinkSample, LongitudinalStore, NodeId,
     TopologyEvent,
@@ -58,9 +61,11 @@ pub use segment::{
     SEGMENT_FORMAT_VERSION, SEGMENT_MAGIC,
 };
 pub use segments::{
-    build_longitudinal_windowed, build_longitudinal_windowed_with, decode_manifest,
-    encode_manifest, reindex_segments, reindex_segments_with, segment_name, write_manifest,
-    SegmentManifest, SegmentMeta, SegmentPolicy, MANIFEST_FORMAT_VERSION, MANIFEST_MAGIC,
+    build_longitudinal_cached, build_longitudinal_windowed, build_longitudinal_windowed_with,
+    decode_manifest, encode_manifest, reindex_segments, reindex_segments_with, segment_name,
+    write_manifest, SegmentManifest, SegmentMeta, SegmentPolicy, MANIFEST_FORMAT_VERSION,
+    MANIFEST_MAGIC,
 };
 pub use stats::{CellStats, CorpusStats};
 pub use store::{DatasetEntry, DatasetStore};
+pub use temp::TempDir;

@@ -58,15 +58,18 @@ impl CorpusLoadStats {
     }
 }
 
-/// How a cache-aware load treats the on-disk cache.
+/// How a cache-aware load treats the on-disk segment store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CacheMode {
-    /// Use a valid cache (hit or incremental append), rebuild otherwise.
+    /// Use every valid segment, extend the tail when the corpus grew and
+    /// rebuild only segments that are missing, damaged or stale.
     #[default]
     Auto,
-    /// Ignore the cache entirely: plain build, nothing read or written.
+    /// Ignore the segment store entirely: plain YAML build, nothing
+    /// read or written.
     Off,
-    /// Rebuild from YAML unconditionally and overwrite the cache.
+    /// Re-derive every segment from YAML unconditionally and rewrite the
+    /// store.
     Rebuild,
 }
 
@@ -108,141 +111,6 @@ pub fn build_longitudinal(
     let (builders, stats, _) =
         load_fold_entries::<ColumnarBuilder>(store, map, &entries, threads, false)?;
     Ok((ColumnarBuilder::finish(builders), stats))
-}
-
-/// The cache-aware longitudinal load: consult the on-disk cache per
-/// `mode`, fall back to (and persist) a fresh build when it cannot be
-/// used, and extend it in place when the corpus only grew.
-///
-/// The returned store is always identical to what [`build_longitudinal`]
-/// would produce over the current corpus — the cache changes the work,
-/// never the answer. `stats.cache` records what happened (hit, miss,
-/// append, corrupt), and the non-cache counters always equal a fresh
-/// build's counters, so downstream reports are path-independent.
-///
-/// Cache problems are never fatal: a corrupt or unwritable cache file
-/// degrades to an uncached build with a warning on stderr.
-pub fn build_longitudinal_cached(
-    store: &DatasetStore,
-    map: MapKind,
-    threads: usize,
-    mode: CacheMode,
-) -> io::Result<(LongitudinalStore, CorpusLoadStats)> {
-    if mode == CacheMode::Off {
-        return build_longitudinal(store, map, threads);
-    }
-
-    let entries = store.entries_of(map, FileKind::Yaml)?;
-    let mut cache = CacheStats::default();
-
-    let cached = if mode == CacheMode::Rebuild {
-        None
-    } else {
-        match store.open_cache(map)? {
-            None => None,
-            Some(bytes) => match codec::decode_store(&bytes) {
-                Ok(decoded) => Some(decoded),
-                Err(err) => {
-                    eprintln!(
-                        "warning: discarding longitudinal cache for {}: {err}; rebuilding from YAML",
-                        map.slug()
-                    );
-                    // A version mismatch is staleness, not damage: the
-                    // image is structurally sound, this build just
-                    // cannot read it.
-                    if matches!(err, codec::CacheError::UnsupportedVersion(_)) {
-                        cache.stale += 1;
-                    } else {
-                        cache.corrupt += 1;
-                    }
-                    None
-                }
-            },
-        }
-    };
-
-    let Some((mut cached_store, cached_fp, cached_stats)) = cached else {
-        cache.misses += 1;
-        return rebuild_and_persist(store, map, &entries, threads, cache);
-    };
-
-    // A usable cache exists: hash the corpus (no parsing) and compare.
-    let hashes = hash_entries(store, map, &entries, threads)?;
-    let current_fp = fingerprint_from(map, &entries, &hashes);
-
-    if current_fp == cached_fp {
-        cache.hits += 1;
-        cache.snapshots_from_cache = cached_store.len() as u64;
-        let mut stats = cached_stats;
-        stats.cache = cache;
-        return Ok((cached_store, stats));
-    }
-
-    if let Some(shared) = cached_fp.strict_prefix_of(&current_fp) {
-        // The corpus only grew: parse the tail, append in place.
-        let (tail, tail_stats, _) = load_sorted(store, map, &entries[shared..], threads, false)?;
-        if can_append(&cached_store, &tail) {
-            cache.appends += 1;
-            cache.snapshots_from_cache = cached_store.len() as u64;
-            cache.snapshots_appended = tail.len() as u64;
-            cached_store.append_snapshots(&tail);
-            let mut stats = cached_stats;
-            stats.merge(tail_stats);
-            persist(store, map, &cached_store, &current_fp, &stats);
-            stats.cache = cache;
-            return Ok((cached_store, stats));
-        }
-    }
-
-    // Shrunk, edited, or a tail that is not strictly newer: full rebuild.
-    cache.misses += 1;
-    rebuild_and_persist(store, map, &entries, threads, cache)
-}
-
-/// An appended tail must be strictly newer than the cached history for
-/// [`LongitudinalStore::append_snapshots`] to reproduce a full rebuild.
-/// Path order implies timestamp order, so this only rejects exotic
-/// corpora (e.g. an equal-timestamp boundary after a re-collection).
-fn can_append(cached: &LongitudinalStore, tail: &[TopologySnapshot]) -> bool {
-    match cached.timestamps().last() {
-        None => true,
-        Some(&last) => tail.iter().all(|snapshot| snapshot.timestamp > last),
-    }
-}
-
-/// Full parse of `entries` (hashing as it reads), persist, return.
-fn rebuild_and_persist(
-    store: &DatasetStore,
-    map: MapKind,
-    entries: &[DatasetEntry],
-    threads: usize,
-    cache: CacheStats,
-) -> io::Result<(LongitudinalStore, CorpusLoadStats)> {
-    let (builders, mut stats, hashes) =
-        load_fold_entries::<ColumnarBuilder>(store, map, entries, threads, true)?;
-    let columnar = ColumnarBuilder::finish(builders);
-    let fingerprint = fingerprint_from(map, entries, &hashes);
-    persist(store, map, &columnar, &fingerprint, &stats);
-    stats.cache = cache;
-    Ok((columnar, stats))
-}
-
-/// Writes the cache image; failure warns and is otherwise ignored (the
-/// build result is already in hand).
-fn persist(
-    store: &DatasetStore,
-    map: MapKind,
-    columnar: &LongitudinalStore,
-    fingerprint: &CorpusFingerprint,
-    stats: &CorpusLoadStats,
-) {
-    let image = codec::encode_store(columnar, fingerprint, &stats.base());
-    if let Err(err) = store.write_cache(map, &image) {
-        eprintln!(
-            "warning: could not write longitudinal cache for {}: {err}",
-            map.slug()
-        );
-    }
 }
 
 /// The corpus fingerprint from enumerated entries plus per-file hashes.
@@ -299,40 +167,48 @@ pub(crate) fn load_sorted(
 }
 
 /// Hashes every entry's contents in parallel without parsing anything —
-/// the cache-validation pass. Returned in entry order.
+/// the content check of full-history loads and `index`. Workers claim
+/// files four at a time and hash them with [`codec::fnv1a_x4`]. Returned
+/// in entry order.
 pub(crate) fn hash_entries(
     store: &DatasetStore,
     map: MapKind,
     entries: &[DatasetEntry],
     threads: usize,
 ) -> io::Result<Vec<u64>> {
-    let threads = threads.max(1).min(entries.len().max(1));
-    if threads <= 1 {
-        return entries
-            .iter()
-            .map(|entry| {
-                store
-                    .read(map, FileKind::Yaml, entry.timestamp)
-                    .map(|bytes| codec::fnv1a(&bytes))
-            })
-            .collect();
-    }
+    const LANES: usize = 4;
+    let batches = entries.len().div_ceil(LANES);
+    let threads = threads.max(1).min(batches.max(1));
     let cursor = AtomicUsize::new(0);
     let (cursor, entries) = (&cursor, entries);
+    let hash_batch = move |batch: usize| -> io::Result<Vec<u64>> {
+        let start = batch.saturating_mul(LANES);
+        let chunk = entries
+            .get(start..start.saturating_add(LANES).min(entries.len()))
+            .unwrap_or(&[]);
+        let files = chunk
+            .iter()
+            .map(|entry| store.read(map, FileKind::Yaml, entry.timestamp))
+            .collect::<io::Result<Vec<Vec<u8>>>>()?;
+        Ok(match files.as_slice() {
+            [a, b, c, d] => codec::fnv1a_x4([a, b, c, d]).to_vec(),
+            short => short.iter().map(|bytes| codec::fnv1a(bytes)).collect(),
+        })
+    };
     let outcomes: Vec<io::Result<Vec<(usize, u64)>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(move || {
-                    let mut hashes = Vec::new();
+                    let mut hashed = Vec::new();
                     loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(entry) = entries.get(index) else {
+                        let batch = cursor.fetch_add(1, Ordering::Relaxed);
+                        if batch >= batches {
                             break;
-                        };
-                        let bytes = store.read(map, FileKind::Yaml, entry.timestamp)?;
-                        hashes.push((index, codec::fnv1a(&bytes)));
+                        }
+                        let first = batch.saturating_mul(LANES);
+                        hashed.extend((first..).zip(hash_batch(batch)?));
                     }
-                    Ok(hashes)
+                    Ok(hashed)
                 })
             })
             .collect();
@@ -344,7 +220,9 @@ pub(crate) fn hash_entries(
     let mut hashes = vec![0u64; entries.len()];
     for outcome in outcomes {
         for (index, hash) in outcome? {
-            hashes[index] = hash;
+            if let Some(slot) = hashes.get_mut(index) {
+                *slot = hash;
+            }
         }
     }
     Ok(hashes)
@@ -354,8 +232,8 @@ pub(crate) fn hash_entries(
 /// folding snapshots into one [`SnapshotSink`] per worker (returned in
 /// worker order, never finish order). With `hash` set, also returns the
 /// FNV-1a content hash of every entry, in entry order — the combined
-/// parse-and-fingerprint pass of the cache-miss path, which avoids
-/// reading each file twice.
+/// parse-and-fingerprint pass of segment builds and repairs, which
+/// avoids reading each file twice.
 pub(crate) fn load_fold_entries<S: SnapshotSink>(
     store: &DatasetStore,
     map: MapKind,
@@ -471,13 +349,14 @@ fn read_one<S: SnapshotSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TempDir;
     use wm_extract::to_yaml_string;
     use wm_model::{Duration, Link, LinkEnd, Load, Node};
 
-    fn temp_store(tag: &str) -> DatasetStore {
-        let dir = std::env::temp_dir().join(format!("wm-loader-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        DatasetStore::open(dir).expect("temp store")
+    fn temp_store(tag: &str) -> (TempDir, DatasetStore) {
+        let dir = TempDir::new(&format!("loader-test-{tag}")).expect("temp dir");
+        let store = DatasetStore::open(dir.path()).expect("temp store");
+        (dir, store)
     }
 
     fn snapshot(t: Timestamp, load: u8) -> TopologySnapshot {
@@ -519,7 +398,7 @@ mod tests {
 
     #[test]
     fn loads_match_written_corpus_at_any_thread_count() {
-        let store = temp_store("threads");
+        let (_dir, store) = temp_store("threads");
         let written = write_corpus(&store, 13);
         // One garbage file: counted as failed, skipped.
         let bad_t = Timestamp::from_ymd(2021, 5, 2);
@@ -537,12 +416,11 @@ mod tests {
             assert_eq!(parallel, serial, "{threads} threads");
             assert_eq!(stats, serial_stats, "{threads} threads");
         }
-        std::fs::remove_dir_all(store.root()).unwrap();
     }
 
     #[test]
     fn longitudinal_build_is_thread_invariant() {
-        let store = temp_store("columnar");
+        let (_dir, store) = temp_store("columnar");
         let written = write_corpus(&store, 11);
         let (baseline, stats) = build_longitudinal(&store, MapKind::Europe, 1).unwrap();
         assert_eq!(baseline.len(), written.len());
@@ -555,15 +433,13 @@ mod tests {
             assert_eq!(store2, baseline, "{threads} threads");
             assert_eq!(stats2, stats, "{threads} threads");
         }
-        std::fs::remove_dir_all(store.root()).unwrap();
     }
 
     #[test]
     fn empty_map_loads_empty() {
-        let store = temp_store("empty");
+        let (_dir, store) = temp_store("empty");
         let (snaps, stats) = load_snapshots(&store, MapKind::World, 4).unwrap();
         assert!(snaps.is_empty());
         assert_eq!(stats, CorpusLoadStats::default());
-        std::fs::remove_dir_all(store.root()).unwrap();
     }
 }

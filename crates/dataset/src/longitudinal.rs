@@ -32,13 +32,14 @@
 //! batch runner.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use wm_extract::{
     extract_batch_sink, BatchInput, BatchMetrics, BatchStats, ExtractConfig, Scheduling,
     SnapshotSink,
 };
 use wm_model::{
-    Link, LinkEnd, LinkKind, Load, MapKind, Node, NodeKind, SnapshotDiff, Timestamp,
+    Link, LinkEnd, LinkKind, Load, MapKind, Node, NodeKind, SnapshotDiff, TimeRange, Timestamp,
     TopologySnapshot,
 };
 
@@ -191,10 +192,23 @@ fn load_of(byte: Option<&u8>) -> Load {
 /// The half-open cell range of snapshot `index` in a CSR offset table.
 /// Out-of-range indices yield an empty range; inverted offsets (which a
 /// well-formed table never holds) clamp to empty instead of panicking.
-fn offset_span(offsets: &[u32], index: usize) -> std::ops::Range<usize> {
-    let start = offsets.get(index).map_or(0, |&o| o as usize);
-    let end = offsets.get(index + 1).map_or(start, |&o| o as usize);
+fn offset_span(offsets: &[u32], index: usize) -> Range<usize> {
+    rows_span(offsets, &(index..index.saturating_add(1)))
+}
+
+/// The half-open cell range of the snapshots `rows` in a CSR offset
+/// table, clamped like [`offset_span`].
+fn rows_span(offsets: &[u32], rows: &Range<usize>) -> Range<usize> {
+    let start = offsets.get(rows.start).map_or(0, |&o| o as usize);
+    let end = offsets.get(rows.end).map_or(start, |&o| o as usize);
     start..end.max(start)
+}
+
+/// The rank of `value` in a sorted, deduplicated table. Tables are built
+/// from the very values looked up, so the search cannot miss; a miss
+/// (impossible by construction) maps to rank 0 instead of panicking.
+fn rank_in<T: Ord>(table: &[T], value: &T) -> u32 {
+    table.binary_search(value).map_or(0, |rank| rank as u32)
 }
 
 /// The new rank of an old id in a dense rank map. Rank maps are built
@@ -660,141 +674,210 @@ impl LongitudinalStore {
         self.series_rows = series_rows;
     }
 
-    /// Appends a tail of newer snapshots to the store, producing exactly
-    /// what a full rebuild over `old corpus + tail` would produce.
+    /// Concatenates decoded segment stores into one store holding
+    /// exactly the snapshots of `range` — identical, field by field, to
+    /// [`LongitudinalStore::from_snapshots`] over those snapshots.
     ///
-    /// All appended timestamps must be strictly greater than the last
-    /// stored timestamp and non-decreasing among themselves (the order of
-    /// equal-timestamp snapshots in `snapshots` is preserved, matching the
-    /// batch runner's `(timestamp, input index)` contract). Symbol-table
-    /// ids are ranks in the *merged* sorted tables, so appending re-ranks
-    /// the existing columns where the tail introduces nodes or link
-    /// identities that sort before existing ones; the result is identical
-    /// to [`LongitudinalStore::from_snapshots`] over the concatenation.
+    /// Every cached load is served this way. Each segment already holds
+    /// its slice of history in columns, so the merge never rebuilds
+    /// snapshots: the symbol tables become the sorted union of what the
+    /// retained rows use (ids are ranks, as in any store), row cells are
+    /// remapped and copied, and each part's stored events survive when
+    /// both their ends fall in `range`. The only snapshots reconstructed
+    /// are the two either side of a boundary between parts, to diff the
+    /// pair no single part holds. Cost is linear in the retained rows
+    /// plus the parts' symbol tables, in one pass over all parts.
     ///
-    /// # Panics
-    ///
-    /// Panics if a tail timestamp is not strictly newer than the stored
-    /// history — callers (the cache-aware loader) establish this from the
-    /// corpus fingerprint before calling.
-    pub fn append_snapshots(&mut self, snapshots: &[TopologySnapshot]) {
-        if snapshots.is_empty() {
-            return;
-        }
-        if let Some(&last) = self.timestamps.last() {
-            assert!(
-                snapshots.iter().all(|s| s.timestamp > last),
-                "appended snapshots must be strictly newer than the stored history"
-            );
-        }
-
-        let mut builder = ColumnarBuilder::new();
-        for (index, snapshot) in snapshots.iter().enumerate() {
-            builder.add_snapshot(index, snapshot);
-        }
-
-        // Merged node table and the two rank maps (old ids, builder ids).
-        let mut node_set: BTreeSet<Node> = self.nodes.iter().cloned().collect();
-        node_set.extend(builder.nodes.iter().cloned());
-        let nodes: Vec<Node> = node_set.into_iter().collect();
-        let node_rank: BTreeMap<Node, u32> = nodes
+    /// `parts` must come oldest first, each part's snapshots newer than
+    /// every snapshot before it — which the ordered, disjoint spans of a
+    /// segment manifest guarantee. Parts that break this are not
+    /// detected; their rows are concatenated in the order given.
+    #[must_use]
+    pub fn concat(parts: Vec<LongitudinalStore>, range: TimeRange) -> LongitudinalStore {
+        // Timestamps are sorted, so each part's share of the window is
+        // one contiguous run of snapshots.
+        let spans: Vec<Range<usize>> = parts
             .iter()
-            .enumerate()
-            .map(|(rank, node)| (node.clone(), rank as u32))
-            .collect();
-        let rank = |node: &Node| node_rank.get(node).copied().unwrap_or(0);
-        let old_node_map: Vec<u32> = self.nodes.iter().map(rank).collect();
-        let new_node_map: Vec<u32> = builder.nodes.iter().map(rank).collect();
-
-        // Merged link-identity table, with old defs re-ranked first.
-        let remapped_old: Vec<LinkDef> = self
-            .defs
-            .iter()
-            .map(|def| LinkDef {
-                a: NodeId(rank_of(&old_node_map, def.a.index())),
-                b: NodeId(rank_of(&old_node_map, def.b.index())),
-                label_a: def.label_a.clone(),
-                label_b: def.label_b.clone(),
+            .map(|part| {
+                let lo = part.timestamps.partition_point(|&t| t < range.start);
+                let hi = part.timestamps.partition_point(|&t| t < range.end);
+                lo..hi.max(lo)
             })
             .collect();
-        let globalize = |def: &LocalDef| LinkDef {
-            a: NodeId(rank_of(&new_node_map, def.a as usize)),
-            b: NodeId(rank_of(&new_node_map, def.b as usize)),
-            label_a: def.label_a.clone(),
-            label_b: def.label_b.clone(),
-        };
-        let mut def_set: BTreeSet<LinkDef> = remapped_old.iter().cloned().collect();
-        def_set.extend(builder.defs.iter().map(globalize));
-        let defs: Vec<LinkDef> = def_set.into_iter().collect();
-        let def_rank: BTreeMap<LinkDef, u32> = defs
+        let used: Vec<(Vec<bool>, Vec<bool>)> = parts
             .iter()
-            .enumerate()
-            .map(|(rank, def)| (def.clone(), rank as u32))
-            .collect();
-        let old_def_map: Vec<u32> = remapped_old
-            .iter()
-            .map(|def| def_rank.get(def).copied().unwrap_or(0))
-            .collect();
-        let new_def_map: Vec<u32> = builder
-            .defs
-            .iter()
-            .map(|def| def_rank.get(&globalize(def)).copied().unwrap_or(0))
+            .zip(&spans)
+            .map(|(part, span)| part.used_symbols(span))
             .collect();
 
-        // Re-rank the existing columns in place, then install the tables.
-        for cell in &mut self.node_cells {
-            *cell = rank_of(&old_node_map, *cell as usize);
-        }
-        for cell in &mut self.link_cells {
-            *cell = rank_of(&old_def_map, *cell as usize);
-        }
-        self.nodes = nodes;
-        self.defs = defs;
-
-        // The boundary snapshot for the event log, reconstructed after the
-        // re-rank (the tables are consistent again at this point).
-        let old_len = self.timestamps.len();
-        let mut previous = (old_len > 0).then(|| self.snapshot(old_len - 1));
-
-        // Append the tail columns in (timestamp, input index) order.
-        let mut snaps = std::mem::take(&mut builder.snaps);
-        snaps.sort_by_key(|snap| (snap.timestamp, snap.index));
-        for snap in &snaps {
-            self.timestamps.push(snap.timestamp);
-            self.maps.push(snap.map);
-            self.node_cells.extend(
-                snap.nodes
+        // Merged node table: sorted union of the used nodes; id = rank.
+        let mut nodes: Vec<Node> = Vec::new();
+        for (part, (used_nodes, _)) in parts.iter().zip(&used) {
+            nodes.extend(
+                part.nodes
                     .iter()
-                    .map(|&id| rank_of(&new_node_map, id as usize)),
+                    .zip(used_nodes)
+                    .filter(|(_, &keep)| keep)
+                    .map(|(node, _)| node.clone()),
             );
-            self.node_offsets.push(self.node_cells.len() as u32);
-            for row in &snap.rows {
-                self.link_cells
-                    .push(rank_of(&new_def_map, row.def as usize));
-                self.load_a.push(row.load_a);
-                self.load_b.push(row.load_b);
-                self.flipped.push(row.flipped);
-            }
-            self.link_offsets.push(self.link_cells.len() as u32);
         }
+        nodes.sort();
+        nodes.dedup();
+        let node_maps: Vec<Vec<u32>> = parts
+            .iter()
+            .map(|part| {
+                part.nodes
+                    .iter()
+                    .map(|node| rank_in(&nodes, node))
+                    .collect()
+            })
+            .collect();
 
-        // Event log: the boundary pair plus each consecutive tail pair.
-        for index in old_len..self.timestamps.len() {
-            let current = self.snapshot(index);
-            if let Some(prev) = &previous {
-                let diff = wm_model::diff(prev, &current);
+        // Merged link-identity table, over globally ranked endpoints.
+        let globals: Vec<Vec<LinkDef>> = parts
+            .iter()
+            .zip(&node_maps)
+            .map(|(part, node_map)| {
+                part.defs
+                    .iter()
+                    .map(|def| LinkDef {
+                        a: NodeId(rank_of(node_map, def.a.index())),
+                        b: NodeId(rank_of(node_map, def.b.index())),
+                        label_a: def.label_a.clone(),
+                        label_b: def.label_b.clone(),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut defs: Vec<LinkDef> = Vec::new();
+        for (part_defs, (_, used_defs)) in globals.iter().zip(&used) {
+            defs.extend(
+                part_defs
+                    .iter()
+                    .zip(used_defs)
+                    .filter(|(_, &keep)| keep)
+                    .map(|(def, _)| def.clone()),
+            );
+        }
+        defs.sort();
+        defs.dedup();
+        let def_maps: Vec<Vec<u32>> = globals
+            .iter()
+            .map(|part_defs| part_defs.iter().map(|def| rank_in(&defs, def)).collect())
+            .collect();
+
+        let mut store = LongitudinalStore {
+            nodes,
+            defs,
+            timestamps: Vec::new(),
+            maps: Vec::new(),
+            node_offsets: vec![0],
+            node_cells: Vec::new(),
+            link_offsets: vec![0],
+            link_cells: Vec::new(),
+            load_a: Vec::new(),
+            load_b: Vec::new(),
+            flipped: Vec::new(),
+            series_offsets: Vec::new(),
+            series_rows: Vec::new(),
+            events: Vec::new(),
+        };
+        let mut previous: Option<TopologySnapshot> = None;
+        for (((part, span), node_map), def_map) in
+            parts.into_iter().zip(spans).zip(&node_maps).zip(&def_maps)
+        {
+            let Some(last) = span.end.checked_sub(1).filter(|_| !span.is_empty()) else {
+                continue;
+            };
+            // The pair straddling the boundary with the previous part.
+            let first = part.snapshot(span.start);
+            if let Some(previous) = &previous {
+                let diff = wm_model::diff(previous, &first);
                 if !diff.is_empty() {
-                    self.events.push(TopologyEvent {
-                        previous: prev.timestamp,
-                        at: current.timestamp,
+                    store.events.push(TopologyEvent {
+                        previous: previous.timestamp,
+                        at: first.timestamp,
                         diff,
                     });
                 }
             }
-            previous = Some(current);
+            previous = Some(if last == span.start {
+                first
+            } else {
+                part.snapshot(last)
+            });
+            for row in span {
+                let (Some(&timestamp), Some(&map)) = (part.timestamps.get(row), part.maps.get(row))
+                else {
+                    continue;
+                };
+                store.timestamps.push(timestamp);
+                store.maps.push(map);
+                let node_cells = part
+                    .node_cells
+                    .get(offset_span(&part.node_offsets, row))
+                    .unwrap_or(&[]);
+                store
+                    .node_cells
+                    .extend(node_cells.iter().map(|&id| rank_of(node_map, id as usize)));
+                store.node_offsets.push(store.node_cells.len() as u32);
+                let links = offset_span(&part.link_offsets, row);
+                let link_cells = part.link_cells.get(links.clone()).unwrap_or(&[]);
+                store
+                    .link_cells
+                    .extend(link_cells.iter().map(|&id| rank_of(def_map, id as usize)));
+                store
+                    .load_a
+                    .extend_from_slice(part.load_a.get(links.clone()).unwrap_or(&[]));
+                store
+                    .load_b
+                    .extend_from_slice(part.load_b.get(links.clone()).unwrap_or(&[]));
+                store
+                    .flipped
+                    .extend_from_slice(part.flipped.get(links).unwrap_or(&[]));
+                store.link_offsets.push(store.link_cells.len() as u32);
+            }
+            store.events.extend(
+                part.events
+                    .into_iter()
+                    .filter(|event| range.contains(event.previous) && range.contains(event.at)),
+            );
         }
+        store.rebuild_series_index();
+        store
+    }
 
-        self.rebuild_series_index();
+    /// Which nodes and link identities (local ids) the snapshots `rows`
+    /// use: their node lists plus both ends of every link identity they
+    /// draw — exactly what a [`ColumnarBuilder`] interns for them.
+    fn used_symbols(&self, rows: &Range<usize>) -> (Vec<bool>, Vec<bool>) {
+        let mut nodes = vec![false; self.nodes.len()];
+        let mut defs = vec![false; self.defs.len()];
+        let node_cells = self
+            .node_cells
+            .get(rows_span(&self.node_offsets, rows))
+            .unwrap_or(&[]);
+        let link_cells = self
+            .link_cells
+            .get(rows_span(&self.link_offsets, rows))
+            .unwrap_or(&[]);
+        for &id in link_cells {
+            if let Some(slot) = defs.get_mut(id as usize) {
+                *slot = true;
+            }
+        }
+        let ends = self
+            .defs
+            .iter()
+            .zip(&defs)
+            .filter(|(_, &keep)| keep)
+            .flat_map(|(def, _)| [def.a.0, def.b.0]);
+        for id in node_cells.iter().copied().chain(ends) {
+            if let Some(slot) = nodes.get_mut(id as usize) {
+                *slot = true;
+            }
+        }
+        (nodes, defs)
     }
 
     /// Approximate resident size of the columns and tables, in bytes
@@ -975,30 +1058,51 @@ mod tests {
     }
 
     #[test]
-    fn append_matches_full_rebuild() {
+    fn concat_matches_full_rebuild_over_every_window() {
         let mut snaps = series();
-        // A tail snapshot that introduces a node sorting *before* every
-        // existing one, forcing the append to re-rank old columns.
+        // A later snapshot that introduces a node sorting *before* every
+        // existing one, so merged ids differ from each part's local ids.
         let mut s3 = snaps[2].clone();
         s3.timestamp = snaps[2].timestamp + Duration::from_minutes(5);
         s3.nodes.push(Node::from_name("AAA-PEER"));
         s3.links.push(link("rbx-g1", 3, "AAA-PEER", 4, None));
         snaps.push(s3);
+        let n = snaps.len();
+        let at = |i: usize| snaps[i].timestamp;
+        let past = at(n - 1) + Duration::from_minutes(5);
 
-        for split in 0..=snaps.len() {
-            let full = LongitudinalStore::from_snapshots(&snaps);
-            let mut grown = LongitudinalStore::from_snapshots(&snaps[..split]);
-            grown.append_snapshots(&snaps[split..]);
-            assert_eq!(grown, full, "append after {split} stored snapshots");
+        // Every window whose ends fall on snapshot instants (or past the
+        // history), over every one-, two- and three-way split.
+        let mut windows = vec![TimeRange::ALL];
+        for lo in 0..n {
+            for hi in lo..n {
+                windows.push(TimeRange::new(at(lo), at(hi)));
+            }
+            windows.push(TimeRange::new(at(lo), past));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly newer")]
-    fn append_rejects_stale_timestamps() {
-        let snaps = series();
-        let mut store = LongitudinalStore::from_snapshots(&snaps);
-        store.append_snapshots(&[snaps[0].clone()]);
+        for a in 0..=n {
+            for b in a..=n {
+                for range in &windows {
+                    let parts = vec![
+                        LongitudinalStore::from_snapshots(&snaps[..a]),
+                        LongitudinalStore::from_snapshots(&snaps[a..b]),
+                        LongitudinalStore::from_snapshots(&snaps[b..]),
+                    ];
+                    let merged = LongitudinalStore::concat(parts, *range);
+                    let kept: Vec<&TopologySnapshot> = snaps
+                        .iter()
+                        .filter(|s| range.contains(s.timestamp))
+                        .collect();
+                    let reference = LongitudinalStore::from_snapshots(kept);
+                    assert_eq!(merged, reference, "splits {a}/{b}, window {range}");
+                }
+            }
+        }
+        let nothing = LongitudinalStore::concat(Vec::new(), TimeRange::ALL);
+        assert_eq!(
+            nothing,
+            LongitudinalStore::from_snapshots(std::iter::empty())
+        );
     }
 
     #[test]

@@ -133,8 +133,9 @@ mod tests {
 
     #[test]
     fn cache_and_backup_files_are_rejected() {
-        // The longitudinal cache and common editor droppings must never
-        // parse as corpus members, whatever directory they land in.
+        // A cache file left by an older build and common editor
+        // droppings must never parse as corpus members, whatever
+        // directory they land in.
         for bad in [
             "europe/.longitudinal.cache",
             "europe/.longitudinal.cache.tmp",

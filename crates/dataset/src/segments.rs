@@ -1,31 +1,39 @@
-//! The time-sharded segment store: manifest, windowed loads, compaction.
+//! The time-sharded segment store: manifest, loads, compaction.
 //!
-//! The monolithic cache of [`crate::codec`] re-persists one image per
-//! append and decodes the whole history per query — fine for hours,
-//! hopeless for the paper's two years. This module shards that image
-//! into [`crate::segment`] files along the timestamp-sorted corpus:
-//! every chunk of `SegmentPolicy::capacity` snapshot files becomes one
-//! *sealed* segment, and the remainder (fewer than `capacity` files)
-//! is the *active tail*. The partition is a pure function of the entry
-//! list, so growing the corpus only ever rewrites the tail — and when
-//! the tail fills up it simply becomes sealed under the same name,
-//! which is the whole compaction story: merging is implicit in the
-//! canonical partition, runs synchronously inside the load that
-//! notices it, and converges on exactly the bytes a fresh build of the
-//! same corpus would write (asserted by `tests/segment_equivalence.rs`).
+//! This is the one persistent form of a map's history. The corpus is
+//! sharded into [`crate::segment`] files along the timestamp-sorted
+//! entry list: every chunk of `SegmentPolicy::capacity` snapshot files
+//! becomes one *sealed* segment, and the remainder (fewer than
+//! `capacity` files) is the *active tail*. The partition is a pure
+//! function of the entry list, so growing the corpus only ever rewrites
+//! the tail — and when the tail fills up it simply becomes sealed under
+//! the same name, which is the whole compaction story: merging is
+//! implicit in the canonical partition, runs synchronously inside the
+//! load that notices it, and converges on exactly the bytes a fresh
+//! build of the same corpus would write (asserted by
+//! `tests/segment_equivalence.rs`).
 //!
-//! A manifest file maps `[t_min, t_max] → segment` so a windowed load
-//! decodes only the segments its range intersects. Validation against
-//! the corpus uses the [`crate::segment::identity_digest`] over
-//! `(path, size)` pairs — no content reads — keeping append cost
-//! independent of history length; the monolithic `index` path keeps
-//! hashing contents, so a same-size in-place edit is still caught by
-//! the full-fidelity pass (DESIGN.md decision 14 discusses the split).
+//! A manifest file maps `[t_min, t_max] → segment` so a load decodes
+//! only the segments its range intersects, then merges their columns
+//! with [`LongitudinalStore::concat`] — no snapshot is rebuilt on the
+//! read path. Three entry points share that loader and differ only in
+//! how each decoded segment is checked against the corpus:
+//!
+//! * [`build_longitudinal_windowed`] compares the
+//!   [`crate::segment::identity_digest`] over `(path, size)` pairs — no
+//!   content reads, so a narrow window costs the same at any history
+//!   length;
+//! * [`build_longitudinal_cached`] (full history) and
+//!   [`reindex_segments`] (`index`) also compare the content hash every
+//!   segment stores per entry against the file on disk, so a same-size
+//!   in-place edit is caught and its segment rebuilt as `stale`.
+//!
+//! DESIGN.md decision 14 discusses the split.
 //!
 //! Damage recovery is per segment: a missing, truncated, bit-flipped,
-//! wrong-magic or wrong-version segment file is rebuilt from exactly
-//! its own YAML slice at decode time; a damaged manifest is recovered
-//! from the segment headers without re-encoding anything.
+//! wrong-magic, wrong-version or content-stale segment file is rebuilt
+//! from exactly its own YAML slice at load time; a damaged manifest is
+//! recovered from the segment headers without re-encoding anything.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -34,7 +42,7 @@ use wm_extract::CacheStats;
 use wm_model::{MapKind, TimeRange, Timestamp, TopologySnapshot};
 
 use crate::codec::{self, CacheError, CorpusFingerprint, FingerprintEntry};
-use crate::loader::{self, CacheMode, CorpusLoadStats};
+use crate::loader::{self, build_longitudinal, CacheMode, CorpusLoadStats};
 use crate::longitudinal::{ColumnarBuilder, LongitudinalStore};
 use crate::paths::FileKind;
 use crate::segment::{self, SegmentHeader};
@@ -178,12 +186,53 @@ pub fn write_manifest(
     store.write_manifest_bytes(map, &encode_manifest(manifest))
 }
 
+/// How a load checks each decoded segment against the corpus.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Check {
+    /// The header's `(path, size)` identity digest only.
+    Identity,
+    /// The identity digest plus every entry's stored content hash
+    /// against the file on disk.
+    Content,
+}
+
+/// The cache-aware full-history load, served from the segment store
+/// with the default [`SegmentPolicy`].
+///
+/// The returned store is always identical to what [`build_longitudinal`]
+/// produces over the current corpus — the segments change the work,
+/// never the answer — and the non-cache counters equal a fresh build's.
+/// Every segment is checked by content hash, so an edited file (even a
+/// same-size one) is caught and only its segment is rebuilt, counted as
+/// `stale`. `stats.cache` records what happened. `CacheMode::Off` is a
+/// plain YAML build, `Rebuild` re-derives every segment first.
+pub fn build_longitudinal_cached(
+    store: &DatasetStore,
+    map: MapKind,
+    threads: usize,
+    mode: CacheMode,
+) -> io::Result<(LongitudinalStore, CorpusLoadStats)> {
+    if mode == CacheMode::Off {
+        return build_longitudinal(store, map, threads);
+    }
+    load(
+        store,
+        map,
+        TimeRange::ALL,
+        threads,
+        mode,
+        SegmentPolicy::default(),
+        Check::Content,
+    )
+}
+
 /// Loads one map's history restricted to `range`, touching only the
 /// segments the range intersects, with the default [`SegmentPolicy`].
 ///
 /// The result is exactly what a fresh YAML build restricted to the
 /// window produces — same store, same load counters — at any thread
-/// count. `CacheMode::Off` bypasses the segment store entirely,
+/// count. Segments are checked by `(path, size)` identity only (see the
+/// module docs). `CacheMode::Off` bypasses the segment store entirely,
 /// `Rebuild` re-derives every segment from YAML first.
 pub fn build_longitudinal_windowed(
     store: &DatasetStore,
@@ -220,8 +269,6 @@ pub fn build_longitudinal_windowed_with(
         return Ok((ColumnarBuilder::finish(builders), stats));
     }
 
-    let mut cache = CacheStats::default();
-
     // Gap fast path: when an intact manifest proves the window falls
     // inside indexed history yet intersects no segment, the answer is
     // empty and only the manifest was read.
@@ -234,7 +281,10 @@ pub fn build_longitudinal_windowed_with(
                         .iter()
                         .any(|m| range.intersects_closed(m.t_min, m.t_max));
                     if !touched && range.end <= last.t_max {
-                        cache.hits += 1;
+                        let cache = CacheStats {
+                            hits: 1,
+                            ..CacheStats::default()
+                        };
                         let stats = CorpusLoadStats {
                             cache,
                             ..CorpusLoadStats::default()
@@ -246,56 +296,13 @@ pub fn build_longitudinal_windowed_with(
         }
     }
 
-    let entries = store.entries_of(map, FileKind::Yaml)?;
-    let (manifest, spans) = ensure_segments(
-        store,
-        map,
-        &entries,
-        threads,
-        policy,
-        mode == CacheMode::Rebuild,
-        &mut cache,
-    )?;
-
-    let mut builder = ColumnarBuilder::default();
-    let mut index = 0usize;
-    for (meta, span) in manifest.segments.iter().zip(&spans) {
-        if !range.intersects_closed(meta.t_min, meta.t_max) {
-            continue;
-        }
-        cache.segments_touched += 1;
-        let chunk = entries.get(span.0..span.1).unwrap_or(&[]);
-        let (snapshots, from_cache) =
-            load_segment_snapshots(store, map, meta, chunk, threads, &mut cache)?;
-        for snapshot in &snapshots {
-            if range.contains(snapshot.timestamp) {
-                builder.add_snapshot(index, snapshot);
-                index += 1;
-                if from_cache {
-                    cache.snapshots_from_cache += 1;
-                }
-            }
-        }
-    }
-    let merged = ColumnarBuilder::finish(vec![builder]);
-
-    // Load counters derive from the windowed slice of the entry list,
-    // exactly what the cache-less restricted build reports.
-    let in_range = entries.iter().filter(|e| range.contains(e.timestamp));
-    let mut stats = CorpusLoadStats::default();
-    for entry in in_range {
-        stats.files += 1;
-        stats.bytes += entry.size;
-    }
-    stats.parsed = merged.len();
-    stats.failed = stats.files - stats.parsed;
-    stats.cache = cache;
-    Ok((merged, stats))
+    load(store, map, range, threads, mode, policy, Check::Identity)
 }
 
 /// Brings one map's segment store in line with the corpus and validates
-/// every segment file, repairing damaged ones — the `index --compact`
-/// entry point. Returns the manifest and full-corpus load counters.
+/// every segment file by content hash, repairing damaged or stale ones —
+/// the `index` entry point. Returns the manifest and full-corpus load
+/// counters.
 pub fn reindex_segments(
     store: &DatasetStore,
     map: MapKind,
@@ -313,37 +320,127 @@ pub fn reindex_segments_with(
     mode: CacheMode,
     policy: SegmentPolicy,
 ) -> io::Result<(SegmentManifest, CorpusLoadStats)> {
+    let loaded = load_parts(
+        store,
+        map,
+        TimeRange::ALL,
+        threads,
+        mode,
+        policy,
+        Check::Content,
+    )?;
+    let parsed = loaded.parts.iter().map(LongitudinalStore::len).sum();
+    let stats = load_stats(&loaded.entries, TimeRange::ALL, parsed, loaded.cache);
+    Ok((loaded.manifest, stats))
+}
+
+/// The one segment-backed load: decode what `range` intersects, merge
+/// the columns, derive the counters.
+fn load(
+    store: &DatasetStore,
+    map: MapKind,
+    range: TimeRange,
+    threads: usize,
+    mode: CacheMode,
+    policy: SegmentPolicy,
+    check: Check,
+) -> io::Result<(LongitudinalStore, CorpusLoadStats)> {
+    let loaded = load_parts(store, map, range, threads, mode, policy, check)?;
+    let merged = LongitudinalStore::concat(loaded.parts, range);
+    let stats = load_stats(&loaded.entries, range, merged.len(), loaded.cache);
+    Ok((merged, stats))
+}
+
+/// What [`load_parts`] hands back: the manifest after compaction, the
+/// decoded store of every segment the range intersects (oldest first),
+/// the corpus entry list and the cache counters so far.
+struct Loaded {
+    manifest: SegmentManifest,
+    parts: Vec<LongitudinalStore>,
+    entries: Vec<DatasetEntry>,
+    cache: CacheStats,
+}
+
+/// Brings the segment store in line with the corpus, then decodes (or
+/// repairs) each segment `range` intersects, checked per `check`.
+fn load_parts(
+    store: &DatasetStore,
+    map: MapKind,
+    range: TimeRange,
+    threads: usize,
+    mode: CacheMode,
+    policy: SegmentPolicy,
+    check: Check,
+) -> io::Result<Loaded> {
     let entries = store.entries_of(map, FileKind::Yaml)?;
     let mut cache = CacheStats::default();
+    let rebuild_all = mode == CacheMode::Rebuild;
     let (manifest, spans) = ensure_segments(
         store,
         map,
         &entries,
         threads,
         policy,
-        mode == CacheMode::Rebuild,
+        rebuild_all,
         &mut cache,
     )?;
-    let mut parsed = 0usize;
+
+    // A rebuild just wrote every segment from contents it hashed while
+    // parsing; otherwise the content check hashes the corpus once.
+    let hashes = if check == Check::Content && !rebuild_all {
+        Some(loader::hash_entries(store, map, &entries, threads)?)
+    } else {
+        None
+    };
+
+    let mut parts = Vec::new();
     for (meta, span) in manifest.segments.iter().zip(&spans) {
+        if !range.intersects_closed(meta.t_min, meta.t_max) {
+            continue;
+        }
         cache.segments_touched += 1;
         let chunk = entries.get(span.0..span.1).unwrap_or(&[]);
-        let (snapshots, from_cache) =
-            load_segment_snapshots(store, map, meta, chunk, threads, &mut cache)?;
-        parsed += snapshots.len();
+        let chunk_hashes = hashes
+            .as_ref()
+            .map(|all| all.get(span.0..span.1).unwrap_or(&[]));
+        let (part, from_cache) =
+            load_segment(store, map, meta, chunk, chunk_hashes, threads, &mut cache)?;
         if from_cache {
-            cache.snapshots_from_cache += snapshots.len() as u64;
+            let served = part
+                .timestamps()
+                .iter()
+                .filter(|&&t| range.contains(t))
+                .count();
+            cache.snapshots_from_cache += served as u64;
         }
+        parts.push(part);
     }
+    Ok(Loaded {
+        manifest,
+        parts,
+        entries,
+        cache,
+    })
+}
+
+/// Load counters of a segment-backed load. They derive from the slice
+/// of the entry list inside `range` — exactly what the cache-less build
+/// over the same files reports.
+fn load_stats(
+    entries: &[DatasetEntry],
+    range: TimeRange,
+    parsed: usize,
+    cache: CacheStats,
+) -> CorpusLoadStats {
     let mut stats = CorpusLoadStats::default();
-    for entry in &entries {
+    for entry in entries.iter().filter(|e| range.contains(e.timestamp)) {
         stats.files += 1;
         stats.bytes += entry.size;
     }
     stats.parsed = parsed;
-    stats.failed = stats.files - stats.parsed;
+    stats.failed = stats.files.saturating_sub(parsed);
     stats.cache = cache;
-    Ok((manifest, stats))
+    stats
 }
 
 /// An empty store through the same builder path every load uses.
@@ -375,6 +472,12 @@ fn chunk_identity(map: MapKind, chunk: &[DatasetEntry]) -> u64 {
         .map(|e| (loader::relative_path_string(map, e.timestamp), e.size))
         .collect();
     segment::identity_digest(paths.iter().map(|(p, s)| (p.as_str(), *s)))
+}
+
+/// Whether the plan keeps the old segment file named `name`.
+fn kept_name(plan: &[(&[DatasetEntry], SegmentMeta, Option<SegmentMeta>)], name: &str) -> bool {
+    plan.iter()
+        .any(|(_, _, kept)| kept.as_ref().is_some_and(|meta| meta.name == name))
 }
 
 /// Whether a manifest row still matches the chunk the corpus dictates.
@@ -426,12 +529,12 @@ fn recover_manifest(store: &DatasetStore, map: MapKind) -> io::Result<SegmentMan
 /// fresh from YAML).
 type Resolved = (u64, Option<TopologySnapshot>);
 
-/// Brings the partition in line with the corpus: keeps every sealed
-/// segment the entry list still dictates, rebuilds the changed suffix
-/// (reusing decoded old segments where `(path, size)` still matches so
-/// a pure append never re-parses history), rewrites the manifest and
-/// garbage-collects stray files. Returns the manifest and the entry
-/// span of each segment.
+/// Brings the partition in line with the corpus: keeps every segment
+/// whose chunk the entry list still dictates, rebuilds the changed
+/// chunks (reusing decoded old segments where `(path, size)` still
+/// matches so a pure append never re-parses history), rewrites the
+/// manifest and garbage-collects stray files. Returns the manifest and
+/// the entry span of each segment.
 #[allow(clippy::too_many_arguments)]
 fn ensure_segments(
     store: &DatasetStore,
@@ -474,32 +577,47 @@ fn ensure_segments(
         }
     };
 
-    // Longest prefix of chunks the old manifest still matches.
-    let mut kept = 0usize;
-    for (chunk, old_meta) in entries.chunks(capacity).zip(&old.segments) {
-        match meta_of_chunk(map, chunk) {
-            Some(expected) if meta_matches(old_meta, &expected) => kept += 1,
-            _ => break,
-        }
-    }
-    let chunk_count = entries.len().div_ceil(capacity);
+    // Chunks the old manifest still matches, wherever they sit: an edit
+    // in one chunk leaves every other chunk's file alone.
+    let old_by_name: BTreeMap<&str, &SegmentMeta> = old
+        .segments
+        .iter()
+        .map(|meta| (meta.name.as_str(), meta))
+        .collect();
+    let plan: Vec<(&[DatasetEntry], SegmentMeta, Option<SegmentMeta>)> = entries
+        .chunks(capacity)
+        .filter_map(|chunk| {
+            let expected = meta_of_chunk(map, chunk)?;
+            let kept = old_by_name
+                .get(expected.name.as_str())
+                .filter(|old_meta| meta_matches(old_meta, &expected))
+                .map(|old_meta| (*old_meta).clone());
+            Some((chunk, expected, kept))
+        })
+        .collect();
+    let kept = plan.iter().filter(|(_, _, kept)| kept.is_some()).count();
+    let structurally_clean = kept == plan.len() && old.segments.len() == plan.len();
 
-    let structurally_clean = kept == chunk_count && old.segments.len() == chunk_count;
-    let mut manifest = SegmentManifest {
-        segments: old.segments.iter().take(kept).cloned().collect(),
-    };
-
+    let mut manifest = SegmentManifest::default();
     let mut reused_any = false;
-    if !structurally_clean {
-        // Decode-reuse pool: old segments past the kept prefix whose
-        // span still overlaps the rebuild region. For a pure append
-        // that is exactly the old undersized tail.
-        let rebuild_from = kept * capacity;
-        let first_rebuilt = entries.get(rebuild_from).map(|e| e.timestamp);
+    if structurally_clean {
+        manifest.segments = old.segments.clone();
+    } else {
+        // Decode-reuse pool: old segments not kept whose span overlaps
+        // a chunk to rebuild. For a pure append that is exactly the old
+        // undersized tail.
+        let rebuilt: Vec<&SegmentMeta> = plan
+            .iter()
+            .filter(|(_, _, kept)| kept.is_none())
+            .map(|(_, expected, _)| expected)
+            .collect();
         let mut pool: BTreeMap<String, (u64, Resolved)> = BTreeMap::new();
         if !rebuild_all {
-            for meta in old.segments.iter().skip(kept) {
-                if first_rebuilt.is_none_or(|t| meta.t_max < t) {
+            for meta in &old.segments {
+                let overlaps = rebuilt
+                    .iter()
+                    .any(|r| r.t_min <= meta.t_max && meta.t_min <= r.t_max);
+                if !overlaps || kept_name(&plan, &meta.name) {
                     continue;
                 }
                 let Some(bytes) = store.read_segment_file(map, &meta.name)? else {
@@ -520,9 +638,10 @@ fn ensure_segments(
         }
 
         // Parse from YAML only what the pool cannot supply.
-        let rebuild = entries.get(rebuild_from..).unwrap_or(&[]);
-        let fresh: Vec<DatasetEntry> = rebuild
+        let fresh: Vec<DatasetEntry> = plan
             .iter()
+            .filter(|(_, _, kept)| kept.is_none())
+            .flat_map(|(chunk, _, _)| chunk.iter())
             .filter(|e| {
                 let path = loader::relative_path_string(map, e.timestamp);
                 pool.get(&path).is_none_or(|(size, _)| *size != e.size)
@@ -543,10 +662,12 @@ fn ensure_segments(
             .collect();
 
         let old_coverage = old.segments.last().map(|m| m.t_max);
-        for chunk in entries.chunks(capacity).skip(kept) {
-            let Some(mut meta) = meta_of_chunk(map, chunk) else {
+        for (chunk, expected, kept) in plan {
+            if let Some(kept) = kept {
+                manifest.segments.push(kept);
                 continue;
-            };
+            }
+            let mut meta = expected;
             let mut chunk_snapshots: Vec<TopologySnapshot> = Vec::new();
             let mut fp = CorpusFingerprint::default();
             for entry in chunk {
@@ -574,7 +695,7 @@ fn ensure_segments(
                 }
             }
             meta.snapshots = chunk_snapshots.len() as u64;
-            let bytes = encode_chunk(&meta, chunk, &chunk_snapshots, &fp);
+            let (_, bytes) = encode_chunk(&meta, chunk, &chunk_snapshots, &fp);
             store.write_segment_file(map, &meta.name, &bytes)?;
             if old_coverage.is_some_and(|end| meta.t_min <= end) {
                 cache.segments_rebuilt += 1;
@@ -613,19 +734,20 @@ fn ensure_segments(
     Ok((manifest, spans))
 }
 
-/// Materialises one segment's snapshots: decodes the file when it is
-/// intact and still the segment the manifest promised, otherwise
-/// rebuilds exactly this chunk from YAML (counting the damage) and
-/// repairs the file in place. Returns the snapshots and whether they
-/// came from the segment file.
-fn load_segment_snapshots(
+/// Decodes one segment when the file is intact, still the segment the
+/// manifest promised and — when `hashes` is given — still holds the
+/// current content of every entry; otherwise rebuilds exactly this
+/// chunk from YAML (counting the damage) and repairs the file in place.
+/// Returns the segment's store and whether it came from the file.
+fn load_segment(
     store: &DatasetStore,
     map: MapKind,
     meta: &SegmentMeta,
     chunk: &[DatasetEntry],
+    hashes: Option<&[u64]>,
     threads: usize,
     cache: &mut CacheStats,
-) -> io::Result<(Vec<TopologySnapshot>, bool)> {
+) -> io::Result<(LongitudinalStore, bool)> {
     let decoded = match store.read_segment_file(map, &meta.name)? {
         None => {
             eprintln!(
@@ -637,7 +759,19 @@ fn load_segment_snapshots(
             None
         }
         Some(bytes) => match segment::decode_segment(&bytes) {
-            Ok((header, seg_store, _, _)) if header_matches(&header, meta) => Some(seg_store),
+            Ok((header, seg_store, fingerprint, _)) if header_matches(&header, meta) => {
+                if hashes.is_some_and(|hashes| !content_matches(&fingerprint, hashes)) {
+                    eprintln!(
+                        "warning: segment {} of {} is stale against edited YAML; rebuilding it",
+                        meta.name,
+                        map.slug()
+                    );
+                    cache.stale += 1;
+                    None
+                } else {
+                    Some(seg_store)
+                }
+            }
             Ok(_) => {
                 eprintln!(
                     "warning: segment {} of {} does not match its manifest row; rebuilding it from YAML",
@@ -663,12 +797,12 @@ fn load_segment_snapshots(
         },
     };
     if let Some(seg_store) = decoded {
-        return Ok((seg_store.snapshots().collect(), true));
+        return Ok((seg_store, true));
     }
 
     // Repair: parse exactly this chunk, re-encode, write back. The
     // encoding is deterministic, so the repaired file is byte-identical
-    // to the one originally written and the manifest needs no update.
+    // to the one a fresh build writes and the manifest needs no update.
     let (snapshots, chunk_stats, hashes) = loader::load_sorted(store, map, chunk, threads, true)?;
     cache.segments_rebuilt += 1;
     cache.snapshots_appended += chunk_stats.parsed as u64;
@@ -677,9 +811,20 @@ fn load_segment_snapshots(
         ..meta.clone()
     };
     let fp = loader::fingerprint_from(map, chunk, &hashes);
-    let bytes = encode_chunk(&meta, chunk, &snapshots, &fp);
+    let (seg_store, bytes) = encode_chunk(&meta, chunk, &snapshots, &fp);
     store.write_segment_file(map, &meta.name, &bytes)?;
-    Ok((snapshots, false))
+    Ok((seg_store, false))
+}
+
+/// Whether a segment's stored content hashes are those of the files on
+/// disk, entry for entry.
+fn content_matches(fingerprint: &CorpusFingerprint, hashes: &[u64]) -> bool {
+    fingerprint.entries.len() == hashes.len()
+        && fingerprint
+            .entries
+            .iter()
+            .zip(hashes)
+            .all(|(entry, &hash)| entry.hash == hash)
 }
 
 /// Whether a decoded header is the segment the manifest row promises.
@@ -690,15 +835,16 @@ fn header_matches(header: &SegmentHeader, meta: &SegmentMeta) -> bool {
         && header.meta_digest == meta.meta_digest
 }
 
-/// Encodes one chunk as a segment file. Load counters are derived from
-/// the entry list (not from what this call happened to read), so both
-/// the build and the repair path emit byte-identical files.
+/// Encodes one chunk as a segment file, returning the chunk's store
+/// with the bytes. Load counters are derived from the entry list (not
+/// from what this call happened to read), so both the build and the
+/// repair path emit byte-identical files.
 fn encode_chunk(
     meta: &SegmentMeta,
     chunk: &[DatasetEntry],
     snapshots: &[TopologySnapshot],
     fingerprint: &CorpusFingerprint,
-) -> Vec<u8> {
+) -> (LongitudinalStore, Vec<u8>) {
     let mut builder = ColumnarBuilder::default();
     for (i, snapshot) in snapshots.iter().enumerate() {
         builder.add_snapshot(i, snapshot);
@@ -720,7 +866,8 @@ fn encode_chunk(
         snapshots: meta.snapshots,
         meta_digest: meta.meta_digest,
     };
-    segment::encode_segment(&header, &seg_store, fingerprint, &stats)
+    let bytes = segment::encode_segment(&header, &seg_store, fingerprint, &stats);
+    (seg_store, bytes)
 }
 
 #[cfg(test)]

@@ -113,65 +113,33 @@ impl DatasetStore {
     }
 
     /// Enumerates the entries of one map and kind, sorted by timestamp.
+    ///
+    /// Only `<map>/<kind>/` subtrees can hold such files (see
+    /// [`parse_path`]), so the rest of the tree — the other maps, the
+    /// other kind — is never walked or stat'ed.
     pub fn entries_of(&self, map: MapKind, kind: FileKind) -> io::Result<Vec<DatasetEntry>> {
-        let mut entries: Vec<DatasetEntry> = self
-            .entries()?
-            .into_iter()
-            .filter(|e| e.map == map && e.kind == kind)
-            .collect();
+        let mut entries = Vec::new();
+        if self.root.is_dir() {
+            for child in fs::read_dir(&self.root)? {
+                let child = child?;
+                let name = child.file_name();
+                let Some(name) = name.to_str() else {
+                    continue;
+                };
+                if !name.starts_with('.') && name.parse::<MapKind>().ok() == Some(map) {
+                    self.walk(&child.path().join(kind.as_str()), &mut entries)?;
+                }
+            }
+        }
+        entries.retain(|e| e.map == map && e.kind == kind);
         entries.sort_by_key(|e| e.timestamp);
         Ok(entries)
     }
 
-    /// Absolute path of one map's longitudinal cache file.
-    ///
-    /// The name is dot-prefixed and two path components deep, so it can
-    /// never collide with the snapshot layout and [`Self::entries`]
-    /// never surfaces it as a corpus member.
-    #[must_use]
-    pub fn cache_path(&self, map: MapKind) -> PathBuf {
-        self.root.join(map.slug()).join(".longitudinal.cache")
-    }
-
-    /// Writes one map's longitudinal cache image, replacing any previous
-    /// one. The write goes through a temporary sibling plus rename, so a
-    /// crash mid-write leaves either the old cache or none — never a
-    /// torn file presented as current.
-    pub fn write_cache(&self, map: MapKind, bytes: &[u8]) -> io::Result<()> {
-        let path = self.cache_path(map);
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let tmp = path.with_file_name(".longitudinal.cache.tmp");
-        fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, &path)
-    }
-
-    /// Reads one map's longitudinal cache image as raw bytes.
-    ///
-    /// Returns `Ok(None)` when no cache exists; decoding (and deciding
-    /// whether the bytes are trustworthy) is [`crate::codec`]'s job.
-    pub fn open_cache(&self, map: MapKind) -> io::Result<Option<Vec<u8>>> {
-        match fs::read(self.cache_path(map)) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(err) if err.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(err) => Err(err),
-        }
-    }
-
-    /// Deletes one map's cache file if present (used by forced rebuilds).
-    pub fn remove_cache(&self, map: MapKind) -> io::Result<()> {
-        match fs::remove_file(self.cache_path(map)) {
-            Ok(()) => Ok(()),
-            Err(err) if err.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(err) => Err(err),
-        }
-    }
-
     /// Directory holding one map's segment files and manifest.
     ///
-    /// Dot-prefixed like the monolithic cache, so nothing under it can
-    /// ever surface from [`Self::entries`].
+    /// Dot-prefixed, so nothing under it can ever surface from
+    /// [`Self::entries`].
     #[must_use]
     pub fn segments_dir(&self, map: MapKind) -> PathBuf {
         self.root.join(map.slug()).join(".segments")
@@ -276,8 +244,9 @@ impl DatasetStore {
         for entry in fs::read_dir(dir)? {
             let entry = entry?;
             let path = entry.path();
-            // Dot-prefixed names (the cache file, editor droppings) are
-            // never corpus members; skip them before any path parsing.
+            // Dot-prefixed names (the segment directory, editor
+            // droppings) are never corpus members; skip them before any
+            // path parsing.
             if entry.file_name().to_string_lossy().starts_with('.') {
                 continue;
             }
@@ -301,17 +270,17 @@ impl DatasetStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TempDir;
 
-    fn temp_store(tag: &str) -> DatasetStore {
-        let dir =
-            std::env::temp_dir().join(format!("wm-dataset-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        DatasetStore::open(dir).expect("temp store")
+    fn temp_store(tag: &str) -> (TempDir, DatasetStore) {
+        let dir = TempDir::new(&format!("dataset-test-{tag}")).expect("temp dir");
+        let store = DatasetStore::open(dir.path()).expect("temp store");
+        (dir, store)
     }
 
     #[test]
     fn write_read_round_trip() {
-        let store = temp_store("rw");
+        let (_dir, store) = temp_store("rw");
         let t = Timestamp::from_ymd_hms(2021, 3, 5, 10, 5, 0);
         store
             .write(MapKind::Europe, FileKind::Svg, t, b"<svg/>")
@@ -319,12 +288,11 @@ mod tests {
         assert!(store.contains(MapKind::Europe, FileKind::Svg, t));
         let bytes = store.read(MapKind::Europe, FileKind::Svg, t).unwrap();
         assert_eq!(&bytes[..], b"<svg/>");
-        fs::remove_dir_all(store.root()).unwrap();
     }
 
     #[test]
     fn entries_enumerate_and_sort() {
-        let store = temp_store("enum");
+        let (_dir, store) = temp_store("enum");
         let base = Timestamp::from_ymd_hms(2021, 3, 5, 10, 0, 0);
         for i in (0..5).rev() {
             let t = base + wm_model::Duration::from_minutes(5 * i);
@@ -341,48 +309,66 @@ mod tests {
         assert_eq!(europe.len(), 5);
         assert!(europe.windows(2).all(|w| w[0].timestamp < w[1].timestamp));
         assert_eq!(europe[0].size, 1);
-        fs::remove_dir_all(store.root()).unwrap();
+
+        // The subtree walk finds exactly what filtering the full walk
+        // finds, a map directory spelled by alias included.
+        fs::create_dir_all(store.root().join("eu/svg/2021/03/05")).unwrap();
+        fs::write(store.root().join("eu/svg/2021/03/05/1100.svg"), b"alias").unwrap();
+        for map in MapKind::ALL {
+            for kind in FileKind::ALL {
+                let filtered: Vec<DatasetEntry> = store
+                    .entries()
+                    .unwrap()
+                    .into_iter()
+                    .filter(|e| e.map == map && e.kind == kind)
+                    .collect();
+                assert_eq!(store.entries_of(map, kind).unwrap(), filtered);
+            }
+        }
+        assert_eq!(
+            store
+                .entries_of(MapKind::Europe, FileKind::Svg)
+                .unwrap()
+                .len(),
+            6
+        );
     }
 
     #[test]
     fn open_existing_rejects_missing_roots() {
-        let dir = std::env::temp_dir().join(format!(
-            "wm-dataset-test-absent-{}-does-not-exist",
-            std::process::id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
+        let parent = TempDir::new("dataset-test-absent").expect("temp dir");
+        let dir = parent.path().join("does-not-exist");
         let err = DatasetStore::open_existing(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
         assert!(!dir.exists(), "open_existing must not create the root");
 
         // Once the tree exists, the same path opens fine.
-        let created = temp_store("absent-then-present");
+        let (_created_dir, created) = temp_store("absent-then-present");
         let reopened = DatasetStore::open_existing(created.root()).unwrap();
         assert_eq!(reopened.root(), created.root());
-        fs::remove_dir_all(created.root()).unwrap();
     }
 
     #[test]
     fn foreign_files_are_ignored() {
-        let store = temp_store("foreign");
+        let (_dir, store) = temp_store("foreign");
         fs::write(store.root().join("README.txt"), "hello").unwrap();
         fs::create_dir_all(store.root().join("europe/svg/2021/03/05")).unwrap();
         fs::write(store.root().join("europe/svg/2021/03/05/notes.md"), "x").unwrap();
         assert!(store.entries().unwrap().is_empty());
-        fs::remove_dir_all(store.root()).unwrap();
     }
 
     #[test]
-    fn cache_and_dotfiles_never_surface_as_entries() {
-        let store = temp_store("dotfiles");
+    fn dotfiles_never_surface_as_entries() {
+        let (_dir, store) = temp_store("dotfiles");
         let t = Timestamp::from_ymd_hms(2022, 2, 1, 0, 0, 0);
         store
             .write(MapKind::Europe, FileKind::Yaml, t, b"map: europe")
             .unwrap();
 
-        // The cache file itself, a torn temporary, editor backups next to
-        // a real snapshot, and a hidden swap file in a date directory.
-        store.write_cache(MapKind::Europe, b"cache bytes").unwrap();
+        // A cache file left by an older build, a torn temporary, editor
+        // backups next to a real snapshot, and a hidden swap file in a
+        // date directory.
+        fs::write(store.root().join("europe/.longitudinal.cache"), b"cache").unwrap();
         fs::write(store.root().join("europe/.longitudinal.cache.tmp"), b"torn").unwrap();
         let date_dir = store.root().join("europe/yaml/2022/02/01");
         fs::write(date_dir.join("0000.yaml~"), b"backup").unwrap();
@@ -393,35 +379,11 @@ mod tests {
         assert_eq!(entries.len(), 1, "only the real snapshot: {entries:?}");
         assert_eq!(entries[0].timestamp, t);
         assert_eq!(entries[0].size, 11);
-        fs::remove_dir_all(store.root()).unwrap();
-    }
-
-    #[test]
-    fn cache_round_trip_and_removal() {
-        let store = temp_store("cachefile");
-        assert_eq!(store.open_cache(MapKind::World).unwrap(), None);
-        store.write_cache(MapKind::World, b"abc").unwrap();
-        assert_eq!(
-            store.open_cache(MapKind::World).unwrap().as_deref(),
-            Some(&b"abc"[..])
-        );
-        // Overwrite replaces atomically; the temporary must not linger.
-        store.write_cache(MapKind::World, b"defg").unwrap();
-        assert_eq!(
-            store.open_cache(MapKind::World).unwrap().as_deref(),
-            Some(&b"defg"[..])
-        );
-        assert!(!store.root().join("world/.longitudinal.cache.tmp").exists());
-        store.remove_cache(MapKind::World).unwrap();
-        assert_eq!(store.open_cache(MapKind::World).unwrap(), None);
-        // Removing an absent cache is not an error.
-        store.remove_cache(MapKind::World).unwrap();
-        fs::remove_dir_all(store.root()).unwrap();
     }
 
     #[test]
     fn segment_files_round_trip_and_stay_invisible() {
-        let store = temp_store("segfiles");
+        let (_dir, store) = temp_store("segfiles");
         let t = Timestamp::from_ymd_hms(2022, 2, 1, 0, 0, 0);
         store
             .write(MapKind::Europe, FileKind::Yaml, t, b"map: europe")
@@ -485,23 +447,21 @@ mod tests {
         store.remove_segments(MapKind::Europe).unwrap();
         assert!(!store.segments_dir(MapKind::Europe).exists());
         store.remove_segments(MapKind::Europe).unwrap();
-        fs::remove_dir_all(store.root()).unwrap();
     }
 
     #[test]
     fn missing_file_read_errors() {
-        let store = temp_store("missing");
+        let (_dir, store) = temp_store("missing");
         let t = Timestamp::from_unix(0);
         assert!(store.read(MapKind::World, FileKind::Svg, t).is_err());
         assert!(!store.contains(MapKind::World, FileKind::Svg, t));
-        fs::remove_dir_all(store.root()).unwrap();
     }
 
     #[test]
     fn overwrite_is_allowed() {
         // Re-collection replaces the snapshot, like the paper's scraper
         // overwriting the most recent file.
-        let store = temp_store("overwrite");
+        let (_dir, store) = temp_store("overwrite");
         let t = Timestamp::from_unix(0);
         store
             .write(MapKind::Europe, FileKind::Svg, t, b"v1")
@@ -516,6 +476,5 @@ mod tests {
         let entries = store.entries().unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].size, 3);
-        fs::remove_dir_all(store.root()).unwrap();
     }
 }

@@ -4,13 +4,11 @@
 //! any capacity, and empty-window queries are answered from the manifest
 //! alone.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use proptest::prelude::*;
 use wm_dataset::segments::{decode_manifest, SegmentPolicy};
 use wm_dataset::{
     build_longitudinal_windowed_with, segment_name, CacheMode, DatasetStore, FileKind,
-    LongitudinalStore,
+    LongitudinalStore, TempDir,
 };
 use wm_extract::to_yaml_string;
 use wm_model::{
@@ -19,20 +17,16 @@ use wm_model::{
 
 const MAP: MapKind = MapKind::Europe;
 
-static CASE: AtomicUsize = AtomicUsize::new(0);
-
-/// A fresh per-case corpus directory (cases run within one process).
-fn temp_store(tag: &str) -> DatasetStore {
-    let dir = std::env::temp_dir().join(format!(
-        "ovh-weather-proptest-segments-{tag}-{}-{}",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    DatasetStore::open(&dir).expect("temp corpus")
+/// A fresh per-case corpus directory, removed when the case ends.
+fn temp_store(tag: &str) -> (TempDir, DatasetStore) {
+    let dir = TempDir::new(&format!("proptest-segments-{tag}")).expect("temp dir");
+    let store = DatasetStore::open(dir.path()).expect("temp corpus");
+    (dir, store)
 }
 
-/// A small deterministic snapshot whose YAML round-trips exactly.
+/// A small deterministic snapshot whose YAML round-trips exactly. Every
+/// third salt also draws a third router, so consecutive snapshots
+/// differ structurally and the event log is not trivially empty.
 fn snapshot(t: Timestamp, salt: u64) -> TopologySnapshot {
     let mut s = TopologySnapshot::new(MAP, t);
     s.nodes = vec![Node::from_name("par-g1"), Node::from_name("rbx-g2")];
@@ -49,6 +43,21 @@ fn snapshot(t: Timestamp, salt: u64) -> TopologySnapshot {
             load(salt.wrapping_mul(3) + 41),
         ),
     )];
+    if salt.is_multiple_of(3) {
+        s.nodes.push(Node::from_name("fra-fr5"));
+        s.links.push(Link::new(
+            LinkEnd::new(
+                Node::from_name("rbx-g2"),
+                Some("#1".to_owned()),
+                load(salt + 5),
+            ),
+            LinkEnd::new(
+                Node::from_name("fra-fr5"),
+                Some("#1".to_owned()),
+                load(salt + 9),
+            ),
+        ));
+    }
     s
 }
 
@@ -86,16 +95,20 @@ proptest! {
 
     /// Seal/append/compact round-trip: whatever the capacity and however
     /// the corpus is split into an initial build plus an append, the
-    /// final store reproduces every written snapshot in order, and the
-    /// manifest is the canonical partition of the entry list.
+    /// final store reproduces every written snapshot in order, a random
+    /// window merged from the segments equals a fresh store over that
+    /// window's snapshots (event log included), and the manifest is the
+    /// canonical partition of the entry list.
     #[test]
     fn history_round_trips_and_manifest_partitions(
         capacity in 1usize..7,
         total in 1usize..32,
         split_pct in 0usize..101,
         salt in 0u64..1_000,
+        window_start in 0i64..170,
+        window_width in 0i64..170,
     ) {
-        let store = temp_store("roundtrip");
+        let (_dir, store) = temp_store("roundtrip");
         let base = Timestamp::from_ymd(2022, 4, 1);
         let all: Vec<TopologySnapshot> = (0..total)
             .map(|i| snapshot(base + Duration::from_minutes(5 * i as i64), salt + i as u64))
@@ -116,6 +129,26 @@ proptest! {
         prop_assert_eq!(&grown, &reference);
         let reloaded: Vec<TopologySnapshot> = grown.snapshots().collect();
         prop_assert_eq!(&reloaded, &all);
+
+        // A random window (on or off the 5-minute grid, possibly empty
+        // or past the history) merged from the segments it intersects.
+        let start = base + Duration::from_minutes(window_start);
+        let range = TimeRange::new(start, start + Duration::from_minutes(window_width));
+        let (windowed, stats) = build_longitudinal_windowed_with(
+            &store,
+            MAP,
+            range,
+            2,
+            CacheMode::Auto,
+            SegmentPolicy { capacity },
+        )
+        .expect("windowed load");
+        let expected = LongitudinalStore::from_snapshots(
+            all.iter().filter(|s| range.contains(s.timestamp)),
+        );
+        prop_assert_eq!(windowed.events(), expected.events());
+        prop_assert_eq!(&windowed, &expected);
+        prop_assert_eq!(stats.parsed, expected.len());
 
         // A forced compaction (rebuild) converges on the same store.
         let (compacted, _) = load_all(&store, CacheMode::Rebuild, capacity);
@@ -144,8 +177,6 @@ proptest! {
             covered += meta.entries as usize;
         }
         prop_assert_eq!(covered, total, "partition must cover every entry");
-
-        std::fs::remove_dir_all(store.root()).expect("cleanup");
     }
 
     /// Empty or gap windows are answered without touching anything
@@ -159,7 +190,7 @@ proptest! {
         after in 1usize..6,
         salt in 0u64..1_000,
     ) {
-        let store = temp_store("gaps");
+        let (_dir, store) = temp_store("gaps");
         let base = Timestamp::from_ymd(2022, 4, 1);
         // `sealed * capacity` files, a one-day hole, then `after` more —
         // so a segment boundary falls exactly on the hole.
@@ -217,7 +248,5 @@ proptest! {
         prop_assert_eq!(stats.cache.hits, 1);
         prop_assert_eq!(stats.cache.segments_touched, 0);
         prop_assert_eq!(stats.files, 0);
-
-        std::fs::remove_dir_all(store.root()).expect("cleanup");
     }
 }

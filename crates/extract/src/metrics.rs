@@ -235,7 +235,7 @@ impl BroadPhaseStats {
     }
 }
 
-/// Counters of the longitudinal cache path.
+/// Counters of the segment store behind every cached load.
 ///
 /// All fields are exact event counts, independent of timing, worker
 /// count and scheduling — like [`BroadPhaseStats`] they ride inside
@@ -243,33 +243,33 @@ impl BroadPhaseStats {
 /// plain `analyze` without caching leaves them all zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Cache files whose fingerprint matched the corpus exactly (no
-    /// YAML was parsed).
+    /// Loads whose segment partition already matched the corpus (no
+    /// segment had to be re-encoded for it).
     pub hits: u64,
-    /// Cache misses: no cache file, or a fingerprint that neither
-    /// matched nor prefixed the corpus — a full rebuild followed.
+    /// Loads that built the segment store from scratch: none existed,
+    /// none was reusable, or a rebuild was forced.
     pub misses: u64,
-    /// Incremental appends: the cached fingerprint was a strict prefix
-    /// of the corpus and only the tail was parsed.
+    /// Loads that reused existing segments and re-encoded only the
+    /// chunks the corpus changed — a grown tail, an edited file.
     pub appends: u64,
-    /// Cache files rejected as corrupt (bad magic, CRC, truncation,
-    /// invalid contents) before rebuilding.
+    /// Segment or manifest files rejected as damaged (missing, bad
+    /// magic, CRC, truncation, invalid contents) before rebuilding.
     pub corrupt: u64,
-    /// Cache files written by a different format version — structurally
-    /// intact but unreadable by this build, rebuilt like a miss. Kept
-    /// apart from `corrupt` so a fleet-wide version bump does not read
-    /// as data damage.
+    /// Segment or manifest files that are intact but out of date:
+    /// written by a different format version, or — on content-checked
+    /// loads — holding a file's old content after a same-size edit.
+    /// Kept apart from `corrupt` so a version bump or an edit does not
+    /// read as data damage.
     pub stale: u64,
-    /// Snapshots served from the cache without parsing YAML.
+    /// Snapshots served from segment files without parsing YAML.
     pub snapshots_from_cache: u64,
-    /// Snapshots parsed from YAML to extend a stale cache.
+    /// Snapshots parsed from YAML to build, extend or repair segments.
     pub snapshots_appended: u64,
-    /// Segments decoded or built to serve a windowed load — the
-    /// acceptance counter proving a narrow window never touches the
-    /// whole history.
+    /// Segments decoded or built to serve a load — the acceptance
+    /// counter proving a narrow window never touches the whole history.
     pub segments_touched: u64,
     /// Segments covering previously indexed time that had to be
-    /// re-encoded (damaged file, stale version, or a corpus edit).
+    /// re-encoded (damaged or stale file, or a corpus edit).
     pub segments_rebuilt: u64,
 }
 

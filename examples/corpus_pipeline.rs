@@ -6,16 +6,22 @@
 //! ```sh
 //! cargo run --release --example corpus_pipeline [output-dir]
 //! ```
+//!
+//! Without an output directory the corpus goes to a scratch directory
+//! that is removed when the example exits.
 
+use ovh_weather::dataset::TempDir;
 use ovh_weather::prelude::*;
 
 fn main() {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| {
-        std::env::temp_dir()
-            .join(format!("ovh-weather-corpus-{}", std::process::id()))
-            .display()
-            .to_string()
-    });
+    let scratch;
+    let out_dir = match std::env::args().nth(1) {
+        Some(dir) => dir,
+        None => {
+            scratch = TempDir::new("corpus-pipeline").expect("scratch directory");
+            scratch.path().display().to_string()
+        }
+    };
     let pipeline = Pipeline::new(SimulationConfig::scaled(42, 0.15));
     let store = DatasetStore::open(&out_dir).expect("create corpus directory");
     println!("materialising one day of all four maps into {out_dir}\n");

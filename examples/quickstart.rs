@@ -4,6 +4,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use ovh_weather::dataset::TempDir;
 use ovh_weather::prelude::*;
 
 fn main() {
@@ -51,8 +52,8 @@ fn main() {
     );
 
     // Stored corpora come back through the shared parallel loader.
-    let dir = std::env::temp_dir().join(format!("ovh-weather-quickstart-{}", std::process::id()));
-    let store = DatasetStore::open(&dir).expect("temp store");
+    let dir = TempDir::new("quickstart").expect("temp dir");
+    let store = DatasetStore::open(dir.path()).expect("temp store");
     for s in &result.snapshots {
         store
             .write(
@@ -69,7 +70,7 @@ fn main() {
         "\nstore round trip: {} files reloaded identically",
         load_stats.parsed
     );
-    std::fs::remove_dir_all(store.root()).ok();
+    drop(dir);
 
     // And the extraction is verifiably exact against the simulator.
     pipeline

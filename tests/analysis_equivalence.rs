@@ -3,6 +3,7 @@
 //! what the legacy pattern produced — one corpus load per analysis — and
 //! must not depend on the loader's thread count.
 
+use ovh_weather::dataset::TempDir;
 use ovh_weather::prelude::*;
 use ovh_weather::simulator::faults::{corrupt, FaultKind};
 use wm_analysis::{
@@ -14,14 +15,13 @@ use wm_analysis::{
 /// SVG is corrupted before extraction (so the YAML tree has real holes —
 /// coverage gaps, not synthetic ones), and one unparsable YAML file per
 /// map exercises the loader's skip-and-count path.
-fn corpus() -> (DatasetStore, Vec<MapKind>) {
-    let dir = std::env::temp_dir().join(format!(
-        "ovh-weather-analysis-equivalence-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+///
+/// Each call gets its own directory (tests run on parallel threads of
+/// one process); it comes first in the tuple and must outlive the store.
+fn corpus() -> (TempDir, DatasetStore, Vec<MapKind>) {
+    let dir = TempDir::new("analysis-equivalence").expect("temp dir");
     let sim = Simulation::new(SimulationConfig::scaled(7, 0.1));
-    let store = DatasetStore::open(&dir).expect("temp corpus");
+    let store = DatasetStore::open(dir.path()).expect("temp corpus");
     let from = Timestamp::from_ymd(2022, 2, 1);
     let to = from + Duration::from_hours(3);
     let maps = vec![MapKind::Europe, MapKind::World];
@@ -65,12 +65,12 @@ fn corpus() -> (DatasetStore, Vec<MapKind>) {
             .write(map, FileKind::Yaml, to, b"not: [valid yaml")
             .expect("write broken yaml");
     }
-    (store, maps)
+    (dir, store, maps)
 }
 
 #[test]
 fn single_pass_suite_equals_legacy_multi_pass() {
-    let (store, maps) = corpus();
+    let (_dir, store, maps) = corpus();
     let config = SuiteConfig::default();
 
     for &map in &maps {
@@ -137,13 +137,11 @@ fn single_pass_suite_equals_legacy_multi_pass() {
     let merged_report = AnalysisSuite::run(SuiteConfig::default(), &merged);
     assert_eq!(merged_report.table1, table1(&per_map_last));
     assert_eq!(merged_report.table1.rows.len(), maps.len());
-
-    std::fs::remove_dir_all(store.root()).expect("cleanup");
 }
 
 #[test]
 fn store_driven_suite_is_byte_identical_to_legacy() {
-    let (store, maps) = corpus();
+    let (_dir, store, maps) = corpus();
     let config = SuiteConfig::default();
 
     for &map in &maps {
@@ -190,13 +188,11 @@ fn store_driven_suite_is_byte_identical_to_legacy() {
             );
         }
     }
-
-    std::fs::remove_dir_all(store.root()).expect("cleanup");
 }
 
 #[test]
 fn suite_is_thread_invariant() {
-    let (store, maps) = corpus();
+    let (_dir, store, maps) = corpus();
 
     for &map in &maps {
         let (baseline_store, baseline_stats) =
@@ -218,6 +214,4 @@ fn suite_is_thread_invariant() {
             assert_eq!(report.render(), baseline_render);
         }
     }
-
-    std::fs::remove_dir_all(store.root()).expect("cleanup");
 }

@@ -5,6 +5,7 @@
 //! regressions fail loudly.
 
 use ovh_weather::analysis::timeframe::GapDistribution;
+use ovh_weather::dataset::TempDir;
 use ovh_weather::prelude::*;
 use ovh_weather::simulator::collector::gaps;
 
@@ -60,9 +61,8 @@ fn table1_matches_paper_counts_at_full_scale() {
 #[test]
 fn table2_corpus_bookkeeping() {
     let p = pipeline(0.1);
-    let dir = std::env::temp_dir().join(format!("wm-exp-table2-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = DatasetStore::open(&dir).unwrap();
+    let dir = TempDir::new("experiments-table2").unwrap();
+    let store = DatasetStore::open(dir.path()).unwrap();
     let from = Timestamp::from_ymd(2022, 2, 15);
     let to = Timestamp::from_ymd(2022, 2, 16);
     let mut refused_total = 0;
@@ -89,7 +89,6 @@ fn table2_corpus_bookkeeping() {
         refused_total * 100 <= svg.files,
         "too many refused: {refused_total}"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // --- Fig. 2 / Fig. 3 -----------------------------------------------------

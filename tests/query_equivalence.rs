@@ -5,7 +5,7 @@
 //! segments it intersects (counter-asserted), over a fault-injected
 //! corpus.
 
-use ovh_weather::dataset::reindex_segments_with;
+use ovh_weather::dataset::{reindex_segments_with, TempDir};
 use ovh_weather::prelude::*;
 use ovh_weather::simulator::faults::{corrupt, FaultKind};
 
@@ -16,14 +16,11 @@ const POLICY: SegmentPolicy = SegmentPolicy { capacity: 5 };
 /// every third SVG corrupted before extraction, one unparsable YAML
 /// file at `to` — the same recipe as the segment-equivalence suite,
 /// stretched so a six-hour window is a strict interior slice.
-fn corpus() -> (DatasetStore, MapKind, Timestamp, Timestamp) {
-    let dir = std::env::temp_dir().join(format!(
-        "ovh-weather-query-equivalence-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+/// The directory comes first in the tuple: it must outlive the store.
+fn corpus() -> (TempDir, DatasetStore, MapKind, Timestamp, Timestamp) {
+    let dir = TempDir::new("query-equivalence").expect("temp dir");
     let sim = Simulation::new(SimulationConfig::scaled(7, 0.1));
-    let store = DatasetStore::open(&dir).expect("temp corpus");
+    let store = DatasetStore::open(dir.path()).expect("temp corpus");
     let map = MapKind::Europe;
     let from = Timestamp::from_ymd(2022, 2, 1);
     let to = from + Duration::from_hours(9);
@@ -61,7 +58,7 @@ fn corpus() -> (DatasetStore, MapKind, Timestamp, Timestamp) {
     store
         .write(map, FileKind::Yaml, to, b"not: [valid yaml")
         .expect("write broken yaml");
-    (store, map, from, to)
+    (dir, store, map, from, to)
 }
 
 /// One query per kernel, with a spread of filters.
@@ -92,7 +89,7 @@ fn queries(site: &str) -> Vec<(&'static str, Query)> {
 
 #[test]
 fn windowed_query_equals_fresh_restricted_build() {
-    let (store, map, from, to) = corpus();
+    let (_dir, store, map, from, to) = corpus();
 
     // The reconstruction-free reference substrate: one fresh full build.
     let (full, _) = build_longitudinal(&store, map, 4).expect("fresh build");
@@ -203,6 +200,4 @@ fn windowed_query_equals_fresh_restricted_build() {
             }
         }
     }
-
-    std::fs::remove_dir_all(store.root()).expect("cleanup");
 }

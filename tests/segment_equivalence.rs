@@ -1,23 +1,26 @@
 //! Segment-store equivalence: a windowed load must be indistinguishable
 //! from a fresh YAML build restricted to the same window — same store,
 //! field by field, same load counters, same `SuiteReport` — at 1, 2 and
-//! 8 threads, over a fault-injected two-map corpus. Sealed segment
+//! 8 threads, over a fault-injected two-map corpus. The full-history
+//! cached load (`build_longitudinal_cached`) must equal a fresh build
+//! cold, warm, after growth and in every `CacheMode`. Sealed segment
 //! bytes must not depend on who wrote them: identical across thread
 //! counts and identical between append-then-compact and fresh-build
 //! histories. And appending must rewrite only the active tail.
 
 use std::collections::BTreeMap;
 
-use ovh_weather::dataset::decode_manifest;
+use ovh_weather::dataset::{decode_manifest, TempDir};
 use ovh_weather::prelude::*;
 use ovh_weather::simulator::faults::{corrupt, FaultKind};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 const POLICY: SegmentPolicy = SegmentPolicy { capacity: 5 };
 
-/// Materialises a fault-injected YAML window (same recipe as the
-/// monolithic cache-equivalence suite): every third SVG corrupted
-/// before extraction, one unparsable YAML file at `to`.
+/// Materialises a fault-injected YAML window over `[from, to)`: every
+/// third SVG is corrupted before extraction (real coverage holes) and
+/// one unparsable YAML file per map at `to` exercises the
+/// skip-and-count path. Reused with a later window to grow the corpus.
 fn write_window(store: &DatasetStore, maps: &[MapKind], from: Timestamp, to: Timestamp) {
     let sim = Simulation::new(SimulationConfig::scaled(7, 0.1));
     for &map in maps {
@@ -42,6 +45,7 @@ fn write_window(store: &DatasetStore, maps: &[MapKind], from: Timestamp, to: Tim
             Scheduling::WorkStealing,
         );
         assert!(stats.processed > 0, "{map}: empty corpus");
+        assert!(stats.failed > 0, "{map}: expected injected faults");
         for s in &snapshots {
             store
                 .write(
@@ -58,18 +62,30 @@ fn write_window(store: &DatasetStore, maps: &[MapKind], from: Timestamp, to: Tim
     }
 }
 
-fn corpus(tag: &str) -> (DatasetStore, Vec<MapKind>, Timestamp, Timestamp) {
-    let dir = std::env::temp_dir().join(format!(
-        "ovh-weather-segment-equivalence-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = DatasetStore::open(&dir).expect("temp corpus");
+/// A corpus and the directory holding it, removed when `_dir` drops —
+/// so every destructuring must bind `_dir` to keep the corpus alive.
+struct Corpus {
+    _dir: TempDir,
+    store: DatasetStore,
+    maps: Vec<MapKind>,
+    from: Timestamp,
+    to: Timestamp,
+}
+
+fn corpus(tag: &str) -> Corpus {
+    let dir = TempDir::new(&format!("segment-equivalence-{tag}")).expect("temp dir");
+    let store = DatasetStore::open(dir.path()).expect("temp corpus");
     let from = Timestamp::from_ymd(2022, 2, 1);
     let to = from + Duration::from_hours(2);
     let maps = vec![MapKind::Europe, MapKind::World];
     write_window(&store, &maps, from, to);
-    (store, maps, from, to)
+    Corpus {
+        _dir: dir,
+        store,
+        maps,
+        from,
+        to,
+    }
 }
 
 /// Every segment-store file of one map, by name, `manifest` included.
@@ -101,14 +117,20 @@ fn windowed(
 
 #[test]
 fn windowed_load_equals_restricted_fresh_build() {
-    let (store, maps, from, to) = corpus("windows");
+    let Corpus {
+        _dir,
+        store,
+        maps,
+        from,
+        to,
+    } = corpus("windows");
 
     for &map in &maps {
         // Populate the segment store once.
         let (_, stats) = windowed(&store, map, TimeRange::ALL, 4, CacheMode::Auto);
         assert_eq!(stats.cache.misses, 1, "{map}: first build is a miss");
 
-        // Full-range windowed load ≡ the monolithic fresh build.
+        // Full-range windowed load ≡ the uncached fresh build.
         let (full, full_stats) = build_longitudinal(&store, map, 4).expect("fresh build");
         let (via_segments, seg_stats) = windowed(&store, map, TimeRange::ALL, 4, CacheMode::Auto);
         assert_eq!(via_segments, full, "{map}: full-range windowed store");
@@ -215,13 +237,17 @@ fn windowed_load_equals_restricted_fresh_build() {
         assert_eq!(empty.len(), 0, "{map}: inverted window is empty");
         assert_eq!(empty_stats, CorpusLoadStats::default());
     }
-
-    std::fs::remove_dir_all(store.root()).expect("cleanup");
 }
 
 #[test]
 fn sealed_bytes_are_invariant_across_threads_and_histories() {
-    let (store, maps, from, to) = corpus("bytes");
+    let Corpus {
+        _dir,
+        store,
+        maps,
+        from,
+        to,
+    } = corpus("bytes");
 
     // Thread invariance: rebuild everything at each thread count and
     // compare every segment file byte for byte.
@@ -242,12 +268,8 @@ fn sealed_bytes_are_invariant_across_threads_and_histories() {
     let tail_from = to + Duration::from_minutes(5);
     let tail_to = tail_from + Duration::from_hours(1);
 
-    let fresh_dir = std::env::temp_dir().join(format!(
-        "ovh-weather-segment-equivalence-bytes-fresh-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&fresh_dir);
-    let fresh_store = DatasetStore::open(&fresh_dir).expect("fresh corpus");
+    let fresh_dir = TempDir::new("segment-equivalence-bytes-fresh").expect("temp dir");
+    let fresh_store = DatasetStore::open(fresh_dir.path()).expect("fresh corpus");
     write_window(&fresh_store, &maps, from, to);
     write_window(&fresh_store, &maps, tail_from, tail_to);
 
@@ -268,14 +290,17 @@ fn sealed_bytes_are_invariant_across_threads_and_histories() {
             "{map}: append-then-compact and fresh-build bytes differ"
         );
     }
-
-    std::fs::remove_dir_all(store.root()).expect("cleanup");
-    std::fs::remove_dir_all(fresh_store.root()).expect("cleanup");
 }
 
 #[test]
 fn appending_one_snapshot_rewrites_only_the_active_tail() {
-    let (store, maps, _, to) = corpus("tail");
+    let Corpus {
+        _dir,
+        store,
+        maps,
+        to,
+        ..
+    } = corpus("tail");
     let map = maps[0];
 
     let (base, _) = windowed(&store, map, TimeRange::ALL, 4, CacheMode::Auto);
@@ -322,6 +347,137 @@ fn appending_one_snapshot_rewrites_only_the_active_tail() {
         new_names.len() <= 1,
         "an append may add at most one segment, added {new_names:?}"
     );
+}
 
-    std::fs::remove_dir_all(store.root()).expect("cleanup");
+#[test]
+fn warm_cached_load_equals_fresh_build_at_any_thread_count() {
+    let Corpus {
+        _dir, store, maps, ..
+    } = corpus("warm");
+
+    for &map in &maps {
+        let (fresh, fresh_stats) = build_longitudinal(&store, map, 4).expect("fresh build");
+        let fresh_report = AnalysisSuite::run(SuiteConfig::default(), fresh.snapshots());
+
+        for threads in THREADS {
+            store.remove_segments(map).expect("reset segments");
+
+            // Cold: no segments yet, so the load pays the YAML parse and
+            // persists.
+            let (cold, cold_stats) =
+                build_longitudinal_cached(&store, map, threads, CacheMode::Auto)
+                    .expect("cold build");
+            assert_eq!(cold, fresh, "{map}, {threads} threads: cold store");
+            assert_eq!(cold_stats.base(), fresh_stats, "{map}: cold stats");
+            assert_eq!(cold_stats.cache.misses, 1, "{map}: cold is a miss");
+            assert_eq!(cold_stats.cache.hits, 0);
+
+            // Warm: merged from the segments without parsing any YAML.
+            let (warm, warm_stats) =
+                build_longitudinal_cached(&store, map, threads, CacheMode::Auto)
+                    .expect("warm build");
+            assert_eq!(warm, fresh, "{map}, {threads} threads: warm store");
+            assert_eq!(warm_stats.base(), fresh_stats, "{map}: warm stats");
+            assert_eq!(warm_stats.cache.hits, 1, "{map}: warm is a hit");
+            assert_eq!(warm_stats.cache.misses, 0);
+            assert_eq!(warm_stats.cache.snapshots_appended, 0, "{map}: no parse");
+            assert_eq!(
+                warm_stats.cache.snapshots_from_cache,
+                fresh.len() as u64,
+                "{map}: every snapshot must come from the segments"
+            );
+
+            // The report matches field by field (derived PartialEq) and
+            // byte for byte (debug form).
+            let report = AnalysisSuite::run(SuiteConfig::default(), warm.snapshots());
+            assert_eq!(report, fresh_report, "{map}, {threads} threads: report");
+            assert_eq!(format!("{report:?}"), format!("{fresh_report:?}"));
+        }
+
+        // The persisted segments must not depend on who built them:
+        // rebuild at every thread count and compare raw bytes.
+        let mut images = Vec::new();
+        for threads in THREADS {
+            build_longitudinal_cached(&store, map, threads, CacheMode::Rebuild)
+                .expect("forced rebuild");
+            images.push(segment_files(&store, map));
+        }
+        assert!(
+            images.windows(2).all(|w| w[0] == w[1]),
+            "{map}: segment bytes differ across thread counts"
+        );
+    }
+}
+
+#[test]
+fn cached_load_after_growth_equals_full_rebuild() {
+    let Corpus {
+        _dir,
+        store,
+        maps,
+        to,
+        ..
+    } = corpus("append");
+
+    for &map in &maps {
+        let (_, stats) =
+            build_longitudinal_cached(&store, map, 4, CacheMode::Auto).expect("initial build");
+        assert_eq!(stats.cache.misses, 1);
+    }
+
+    // Grow the corpus strictly past the indexed history (the broken file
+    // written at `to` keeps its path, so start one grid step later).
+    let tail_from = to + Duration::from_minutes(5);
+    let tail_to = tail_from + Duration::from_hours(1);
+    write_window(&store, &maps, tail_from, tail_to);
+
+    for &map in &maps {
+        for threads in THREADS {
+            // The first pass extends the tail; later thread counts see
+            // the extended store and verify the hit path over it.
+            let (grown, grown_stats) =
+                build_longitudinal_cached(&store, map, threads, CacheMode::Auto)
+                    .expect("cached build after growth");
+            let (full, full_stats) = build_longitudinal(&store, map, threads).expect("full");
+            assert_eq!(grown, full, "{map}, {threads} threads: grown store");
+            assert_eq!(grown_stats.base(), full_stats, "{map}: grown stats");
+            if threads == THREADS[0] {
+                assert_eq!(grown_stats.cache.appends, 1, "{map}: first pass appends");
+                assert!(grown_stats.cache.snapshots_appended > 0);
+                assert!(grown_stats.cache.snapshots_from_cache > 0);
+            } else {
+                assert_eq!(grown_stats.cache.hits, 1, "{map}: later pass hits");
+            }
+
+            let report = AnalysisSuite::run(SuiteConfig::default(), grown.snapshots());
+            let full_report = AnalysisSuite::run(SuiteConfig::default(), full.snapshots());
+            assert_eq!(report, full_report, "{map}, {threads} threads: report");
+        }
+    }
+}
+
+#[test]
+fn cache_off_and_rebuild_modes_behave() {
+    let Corpus {
+        _dir, store, maps, ..
+    } = corpus("modes");
+    let map = maps[0];
+
+    // Off never creates a segment store.
+    let (off_store, off_stats) =
+        build_longitudinal_cached(&store, map, 4, CacheMode::Off).expect("off build");
+    assert!(segment_files(&store, map).is_empty(), "Off wrote segments");
+    assert_eq!(off_stats.cache, CacheStats::default());
+
+    // Rebuild always re-parses, even over fresh segments, and re-persists.
+    build_longitudinal_cached(&store, map, 4, CacheMode::Auto).expect("populate");
+    let (rebuilt, rebuilt_stats) =
+        build_longitudinal_cached(&store, map, 4, CacheMode::Rebuild).expect("rebuild");
+    assert_eq!(rebuilt, off_store);
+    assert_eq!(rebuilt_stats.cache.misses, 1);
+    assert_eq!(rebuilt_stats.cache.hits, 0);
+    assert!(
+        store.read_manifest_bytes(map).expect("probe").is_some(),
+        "Rebuild must persist the segment store"
+    );
 }

@@ -1,14 +1,20 @@
 //! Segment-store robustness: a fault-injection matrix over the sharded
 //! longitudinal store. Whatever is damaged — one segment file
-//! (truncated, bit-flipped, wrong magic, wrong version, deleted) or the
-//! manifest (garbled, stale, overlapping spans) — a windowed load must
-//! return exactly what a fresh YAML build returns, rebuild *only* the
-//! damaged segments, and leave every healthy segment file byte-for-byte
-//! untouched. Damage is never repaired by rebuilding the whole history.
+//! (truncated, bit-flipped, garbage, wrong magic, wrong version,
+//! deleted), the manifest (garbled, stale, overlapping spans) or the
+//! corpus under it (edited in place, with or without a size change, or
+//! shrunk) — a load must return exactly what a fresh YAML build
+//! returns, rebuild *only* the affected segments, and leave every
+//! healthy segment file byte-for-byte untouched. Damage is never
+//! repaired by rebuilding the whole history.
 
 use std::collections::BTreeMap;
 
-use ovh_weather::dataset::{decode_manifest, encode_manifest, SegmentManifest, SegmentMeta};
+use ovh_weather::dataset::segment::SEGMENT_HEADER_LEN;
+use ovh_weather::dataset::segments::reindex_segments_with;
+use ovh_weather::dataset::{
+    decode_manifest, encode_manifest, DatasetEntry, SegmentManifest, SegmentMeta, TempDir,
+};
 use ovh_weather::prelude::*;
 use ovh_weather::simulator::faults::{corrupt, FaultKind};
 
@@ -19,14 +25,11 @@ const POLICY: SegmentPolicy = SegmentPolicy { capacity: 4 };
 /// baseline: 12 five-minute snapshots (some extraction-corrupted) and
 /// one unparsable YAML file — 13 entries, so `capacity: 4` yields three
 /// sealed segments plus a one-entry active tail.
-fn corpus(tag: &str) -> (DatasetStore, LongitudinalStore, CorpusLoadStats) {
-    let dir = std::env::temp_dir().join(format!(
-        "ovh-weather-segment-robustness-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+/// The directory comes first in the tuple: it must outlive the store.
+fn corpus(tag: &str) -> (TempDir, DatasetStore, LongitudinalStore, CorpusLoadStats) {
+    let dir = TempDir::new(&format!("segment-robustness-{tag}")).expect("temp dir");
     let sim = Simulation::new(SimulationConfig::scaled(11, 0.1));
-    let store = DatasetStore::open(&dir).expect("temp corpus");
+    let store = DatasetStore::open(dir.path()).expect("temp corpus");
     let from = Timestamp::from_ymd(2022, 3, 1);
     let to = from + Duration::from_hours(1);
     let mut inputs: Vec<BatchInput> = sim
@@ -65,7 +68,7 @@ fn corpus(tag: &str) -> (DatasetStore, LongitudinalStore, CorpusLoadStats) {
         .expect("write broken yaml");
 
     let (baseline, baseline_stats) = build_longitudinal(&store, MAP, 4).expect("baseline build");
-    (store, baseline, baseline_stats)
+    (dir, store, baseline, baseline_stats)
 }
 
 /// Every segment-store file of the map, by name (`manifest` included),
@@ -156,11 +159,12 @@ fn assert_surgical_recovery(
 
 #[test]
 fn every_segment_corruption_is_repaired_surgically() {
-    let (store, baseline, baseline_stats) = corpus("files");
+    let (_dir, store, baseline, baseline_stats) = corpus("files");
 
     // Populate and snapshot the pristine state.
     let cache = assert_recovers(&store, &baseline, &baseline_stats, "populate");
     assert_eq!(cache.misses, 1, "first build is a miss");
+    assert_eq!(cache.corrupt + cache.stale, 0, "absence is not damage");
     let pristine = segment_files(&store);
     let manifest =
         decode_manifest(pristine.get("manifest").expect("manifest")).expect("valid manifest");
@@ -185,8 +189,28 @@ fn every_segment_corruption_is_repaired_surgically() {
     // The per-segment corruption matrix, applied to *every* segment in
     // turn — sealed ones and the active tail alike.
     type Mutation = (&'static str, fn(&[u8]) -> Option<Vec<u8>>, u64, u64);
-    let mutations: [Mutation; 6] = [
+    let mutations: [Mutation; 11] = [
         ("empty file", |_| Some(Vec::new()), 1, 0),
+        (
+            "garbage",
+            |_| Some(b"definitely not a segment file".to_vec()),
+            1,
+            0,
+        ),
+        ("truncated to 4 bytes", |b| Some(b[..4].to_vec()), 1, 0),
+        ("truncated header", |b| Some(b[..16].to_vec()), 1, 0),
+        ("one byte short", |b| Some(b[..b.len() - 1].to_vec()), 1, 0),
+        (
+            "flipped section-table bit",
+            |b| {
+                // The payload image's section table starts 16 bytes in.
+                let mut b = b.to_vec();
+                b[SEGMENT_HEADER_LEN + 20] ^= 0x40;
+                Some(b)
+            },
+            1,
+            0,
+        ),
         (
             "truncated mid-payload",
             |b| Some(b[..b.len() / 2].to_vec()),
@@ -251,13 +275,11 @@ fn every_segment_corruption_is_repaired_surgically() {
             );
         }
     }
-
-    std::fs::remove_dir_all(store.root()).expect("cleanup");
 }
 
 #[test]
 fn manifest_damage_recovers_from_headers_without_rebuilds() {
-    let (store, baseline, baseline_stats) = corpus("manifest");
+    let (_dir, store, baseline, baseline_stats) = corpus("manifest");
 
     assert_recovers(&store, &baseline, &baseline_stats, "populate");
     let pristine = segment_files(&store);
@@ -345,13 +367,11 @@ fn manifest_damage_recovers_from_headers_without_rebuilds() {
         0,
         0,
     );
-
-    std::fs::remove_dir_all(store.root()).expect("cleanup");
 }
 
 #[test]
 fn compound_damage_heals_in_one_pass() {
-    let (store, baseline, baseline_stats) = corpus("compound");
+    let (_dir, store, baseline, baseline_stats) = corpus("compound");
 
     assert_recovers(&store, &baseline, &baseline_stats, "populate");
     let pristine = segment_files(&store);
@@ -376,18 +396,12 @@ fn compound_damage_heals_in_one_pass() {
     assert_eq!(cache.segments_rebuilt, 2, "exactly the two damaged ones");
     assert_eq!(segment_files(&store), pristine, "bytes fully restored");
 
-    // `index --compact`'s entry point performs the same healing.
+    // `index`'s entry point performs the same healing.
     store
         .remove_segment_file(MAP, &first.name)
         .expect("remove again");
-    let (reindexed, stats) = ovh_weather::dataset::segments::reindex_segments_with(
-        &store,
-        MAP,
-        4,
-        CacheMode::Auto,
-        POLICY,
-    )
-    .expect("reindex");
+    let (reindexed, stats) =
+        reindex_segments_with(&store, MAP, 4, CacheMode::Auto, POLICY).expect("reindex");
     assert_eq!(reindexed, manifest, "reindex reports the same manifest");
     assert_eq!(stats.cache.segments_rebuilt, 1);
     assert_eq!(
@@ -396,6 +410,210 @@ fn compound_damage_heals_in_one_pass() {
         "reindex validates every segment"
     );
     assert_eq!(segment_files(&store), pristine, "reindex restored bytes");
+}
 
-    std::fs::remove_dir_all(store.root()).expect("cleanup");
+/// Rewrites one YAML file in place, changing a load value but not the
+/// byte length — invisible to the `(path, size)` identity digest.
+fn edit_same_size(store: &DatasetStore, entry: &DatasetEntry) {
+    let path = store.path_of(entry.map, entry.kind, entry.timestamp);
+    let mut text = std::fs::read_to_string(&path).expect("read snapshot");
+    let key = "a_load: ";
+    let at = text.find(key).expect("snapshot draws a link") + key.len();
+    let digits = text[at..].bytes().take_while(u8::is_ascii_digit).count();
+    assert!((1..=2).contains(&digits), "want a load below 100");
+    let last = at + digits - 1;
+    let digit = text.as_bytes()[last] - b'0';
+    text.replace_range(last..=last, &((digit + 1) % 10).to_string());
+    std::fs::write(&path, text).expect("rewrite snapshot");
+}
+
+/// The manifest row whose closed span holds `t`.
+fn holder(manifest: &SegmentManifest, t: Timestamp) -> &SegmentMeta {
+    manifest
+        .segments
+        .iter()
+        .find(|m| m.t_min <= t && t <= m.t_max)
+        .expect("some segment holds every entry")
+}
+
+/// Asserts that exactly the `changed` segment file differs between two
+/// directory states (the manifest included among the unchanged).
+fn assert_only_changed(
+    before: &BTreeMap<String, Vec<u8>>,
+    after: &BTreeMap<String, Vec<u8>>,
+    changed: &str,
+    what: &str,
+) {
+    assert_eq!(
+        before.keys().collect::<Vec<_>>(),
+        after.keys().collect::<Vec<_>>(),
+        "{what}: same files"
+    );
+    for (name, bytes) in before {
+        if name == changed {
+            assert_ne!(
+                after.get(name),
+                Some(bytes),
+                "{what}: {name} must be rebuilt"
+            );
+        } else {
+            assert_eq!(after.get(name), Some(bytes), "{what}: {name} was rewritten");
+        }
+    }
+}
+
+#[test]
+fn same_size_edit_is_caught_by_index() {
+    let (_dir, store, baseline, _) = corpus("same-size-index");
+    let (manifest, _) =
+        reindex_segments_with(&store, MAP, 4, CacheMode::Auto, POLICY).expect("populate");
+    let pristine = segment_files(&store);
+
+    let entries = store.entries_of(MAP, FileKind::Yaml).expect("entries");
+    let target = &entries[5];
+    let edited = holder(&manifest, target.timestamp).name.clone();
+    edit_same_size(&store, target);
+    let after_edit = store.entries_of(MAP, FileKind::Yaml).expect("entries");
+    assert_eq!(after_edit, entries, "the edit keeps every (path, size)");
+    let (fresh, fresh_stats) = build_longitudinal(&store, MAP, 4).expect("fresh build");
+    assert_ne!(fresh, baseline, "the edit changes the data");
+
+    let (reindexed, stats) =
+        reindex_segments_with(&store, MAP, 4, CacheMode::Auto, POLICY).expect("reindex");
+    assert_eq!(reindexed, manifest, "the partition is unchanged");
+    assert_eq!(stats.cache.stale, 1, "the edited segment is stale");
+    assert_eq!(stats.cache.corrupt, 0);
+    assert_eq!(
+        stats.cache.segments_rebuilt, 1,
+        "only its segment is rebuilt"
+    );
+    assert_eq!(stats.cache.hits, 1, "the partition itself still matches");
+    assert_eq!(
+        stats.base(),
+        fresh_stats,
+        "index reports fresh-build counters"
+    );
+    assert_only_changed(&pristine, &segment_files(&store), &edited, "same-size edit");
+
+    // The repaired store serves the edit, and stays clean.
+    let cache = assert_recovers(&store, &fresh, &fresh_stats, "after index");
+    assert_eq!(cache.stale + cache.corrupt + cache.segments_rebuilt, 0);
+    let (_, stats) =
+        reindex_segments_with(&store, MAP, 4, CacheMode::Auto, POLICY).expect("reindex again");
+    assert_eq!(stats.cache.stale + stats.cache.segments_rebuilt, 0);
+}
+
+#[test]
+fn same_size_edit_is_caught_by_full_history_cached_load() {
+    let (_dir, store, baseline, baseline_stats) = corpus("same-size-cached");
+    let (_, stats) = build_longitudinal_cached(&store, MAP, 4, CacheMode::Auto).expect("populate");
+    assert_eq!(stats.cache.misses, 1);
+
+    let entries = store.entries_of(MAP, FileKind::Yaml).expect("entries");
+    edit_same_size(&store, &entries[5]);
+    let (fresh, fresh_stats) = build_longitudinal(&store, MAP, 4).expect("fresh build");
+    assert_ne!(fresh, baseline, "the edit changes the data");
+
+    // Windowed loads keep the path+size identity check: they still
+    // serve the indexed data (DESIGN.md decision 14).
+    let (windowed, windowed_stats) =
+        build_longitudinal_windowed(&store, MAP, TimeRange::ALL, 4, CacheMode::Auto)
+            .expect("windowed load");
+    assert_eq!(windowed, baseline, "windowed loads check identity only");
+    assert_eq!(windowed_stats.base(), baseline_stats);
+    assert_eq!(windowed_stats.cache.stale, 0);
+
+    // The full-history load checks content and rebuilds the segment.
+    let (loaded, stats) =
+        build_longitudinal_cached(&store, MAP, 4, CacheMode::Auto).expect("cached load");
+    assert_eq!(loaded, fresh, "cached load serves the edit");
+    assert_eq!(stats.base(), fresh_stats);
+    assert_eq!(stats.cache.stale, 1, "the edited segment is stale");
+    assert_eq!(stats.cache.corrupt, 0);
+    assert_eq!(
+        stats.cache.segments_rebuilt, 1,
+        "only its segment is rebuilt"
+    );
+
+    let (again, stats) =
+        build_longitudinal_cached(&store, MAP, 4, CacheMode::Auto).expect("next load");
+    assert_eq!(again, fresh);
+    assert_eq!(stats.cache.hits, 1, "the next load is a clean hit");
+    assert_eq!(stats.cache.stale + stats.cache.segments_rebuilt, 0);
+}
+
+#[test]
+fn edited_or_shrunk_corpus_rebuilds_only_what_changed() {
+    let (_dir, store, baseline, baseline_stats) = corpus("edits");
+    assert_recovers(&store, &baseline, &baseline_stats, "populate");
+    let pristine = segment_files(&store);
+    let manifest =
+        decode_manifest(pristine.get("manifest").expect("manifest")).expect("valid manifest");
+
+    // Touch one snapshot: append a YAML comment. The parsed value is
+    // unchanged but the size is not, so its segment no longer matches
+    // the corpus — an edit is not an append.
+    let entries = store.entries_of(MAP, FileKind::Yaml).expect("entries");
+    let target = &entries[5];
+    let edited = holder(&manifest, target.timestamp).name.clone();
+    let path = store.path_of(target.map, target.kind, target.timestamp);
+    let mut bytes = std::fs::read(&path).expect("read snapshot");
+    bytes.extend_from_slice(b"\n# touched\n");
+    std::fs::write(&path, &bytes).expect("rewrite snapshot");
+
+    // The comment changes byte counts but not the parsed snapshots: the
+    // loaded store still equals the original baseline, while the load
+    // stats now reflect the touched file.
+    let (edited_base, edited_base_stats) =
+        build_longitudinal(&store, MAP, 4).expect("edited baseline");
+    assert_eq!(edited_base, baseline, "comment must not change the data");
+    let cache = assert_recovers(&store, &baseline, &edited_base_stats, "edited file");
+    assert_eq!(
+        cache.segments_rebuilt, 1,
+        "only the edited segment is rebuilt"
+    );
+    assert_eq!(
+        cache.snapshots_appended, 1,
+        "only the edited file is re-parsed"
+    );
+    assert_eq!(
+        cache.corrupt + cache.stale,
+        0,
+        "the segment files were fine"
+    );
+    assert_eq!(cache.hits, 0, "an edit is not a hit");
+    let touched = segment_files(&store);
+    let mut rest = touched.clone();
+    rest.remove("manifest");
+    let mut rest_before = pristine.clone();
+    rest_before.remove("manifest");
+    assert_only_changed(&rest_before, &rest, &edited, "size-changing edit");
+    let cache = assert_recovers(&store, &baseline, &edited_base_stats, "after edit");
+    assert_eq!(cache.hits, 1, "the next load is a clean hit");
+    assert_eq!(cache.segments_rebuilt, 0);
+
+    // Shrinking the corpus (deleting the newest file, alone in the tail)
+    // drops the tail segment and leaves every other file alone.
+    let last = entries.last().expect("non-empty");
+    let tail = holder(&manifest, last.timestamp).name.clone();
+    assert_eq!(
+        manifest.segments.last().map(|m| m.entries),
+        Some(1),
+        "the newest file sits alone in the tail"
+    );
+    std::fs::remove_file(store.path_of(last.map, last.kind, last.timestamp)).expect("delete");
+    let (shrunk_base, shrunk_base_stats) =
+        build_longitudinal(&store, MAP, 4).expect("shrunk baseline");
+    let cache = assert_recovers(&store, &shrunk_base, &shrunk_base_stats, "shrunk corpus");
+    assert_eq!(cache.hits, 0, "shrunk corpus is not a hit");
+    assert_eq!(cache.segments_rebuilt, 0, "no remaining segment is rebuilt");
+    let after = segment_files(&store);
+    assert!(!after.contains_key(&tail), "the old tail is dropped");
+    for (name, bytes) in &touched {
+        if name != &tail && name != "manifest" {
+            assert_eq!(after.get(name), Some(bytes), "{name} was rewritten");
+        }
+    }
+    let cache = assert_recovers(&store, &shrunk_base, &shrunk_base_stats, "after shrink");
+    assert_eq!(cache.hits, 1, "the next load is a clean hit");
 }
