@@ -3,7 +3,6 @@
 use wm_model::TopologySnapshot;
 
 use crate::stats::Distribution;
-use crate::suite::AnalysisPass;
 
 /// The degree distribution of a snapshot's OVH routers, parallel links
 /// counted individually (the Fig. 4c definition).
@@ -58,27 +57,6 @@ impl DegreeAnalysis {
             .into_iter()
             .map(|(x, cdf)| (x, 1.0 - cdf))
             .collect()
-    }
-}
-
-/// Streaming fold keeping the last observed snapshot and producing its
-/// [`DegreeAnalysis`] — Fig. 4c is drawn over the series' final state.
-///
-/// Output is `None` when no snapshot was observed.
-#[derive(Debug, Clone, Default)]
-pub struct DegreePass {
-    last: Option<TopologySnapshot>,
-}
-
-impl AnalysisPass for DegreePass {
-    type Output = Option<DegreeAnalysis>;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        self.last = Some(snapshot.clone());
-    }
-
-    fn finish(self) -> Option<DegreeAnalysis> {
-        self.last.map(|s| DegreeAnalysis::of(&s))
     }
 }
 

@@ -1,8 +1,6 @@
 //! Network-infrastructure evolution series (Fig. 4a and Fig. 4b).
 
-use wm_model::{Timestamp, TopologySnapshot};
-
-use crate::suite::AnalysisPass;
+use wm_model::Timestamp;
 
 /// One point of the infrastructure evolution series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,23 +13,6 @@ pub struct EvolutionPoint {
     pub internal_links: usize,
     /// External links (Fig. 4b, dashed series).
     pub external_links: usize,
-}
-
-/// Builds the evolution series from snapshots (any order; sorted on
-/// return).
-#[must_use]
-pub fn evolution_series(snapshots: &[TopologySnapshot]) -> Vec<EvolutionPoint> {
-    let mut series: Vec<EvolutionPoint> = snapshots
-        .iter()
-        .map(|s| EvolutionPoint {
-            timestamp: s.timestamp,
-            routers: s.router_count(),
-            internal_links: s.internal_link_count(),
-            external_links: s.external_link_count(),
-        })
-        .collect();
-    series.sort_by_key(|p| p.timestamp);
-    series
 }
 
 /// A detected abrupt change in a count series.
@@ -62,19 +43,18 @@ pub fn detect_changes(
     metric: fn(&EvolutionPoint) -> usize,
     min_delta: usize,
 ) -> Vec<ChangeEvent> {
-    let mut events = Vec::new();
-    for pair in series.windows(2) {
-        let before = metric(&pair[0]);
-        let after = metric(&pair[1]);
-        if before.abs_diff(after) >= min_delta {
-            events.push(ChangeEvent {
-                at: pair[1].timestamp,
+    series
+        .iter()
+        .zip(series.iter().skip(1))
+        .filter_map(|(previous, current)| {
+            let (before, after) = (metric(previous), metric(current));
+            (before.abs_diff(after) >= min_delta).then_some(ChangeEvent {
+                at: current.timestamp,
                 before,
                 after,
-            });
-        }
-    }
-    events
+            })
+        })
+        .collect()
 }
 
 /// Classifies a pair of consecutive change events per §5's reading:
@@ -112,30 +92,26 @@ pub struct EvolutionReport {
     pub internal_link_events: Vec<ChangeEvent>,
 }
 
-/// Streaming fold producing an [`EvolutionReport`] — the
-/// [`AnalysisPass`] form of [`evolution_series`] + [`detect_changes`].
+/// The evolution series under construction, plus the change-detection
+/// thresholds applied when it closes.
 #[derive(Debug, Clone)]
-pub struct EvolutionPass {
+pub(crate) struct EvolutionPass {
     min_router_delta: usize,
     min_link_delta: usize,
     series: Vec<EvolutionPoint>,
 }
 
 impl EvolutionPass {
-    /// Creates a pass with the given change-detection thresholds.
-    #[must_use]
-    pub fn new(min_router_delta: usize, min_link_delta: usize) -> EvolutionPass {
+    /// Creates a fold with the given change-detection thresholds.
+    pub(crate) fn new(min_router_delta: usize, min_link_delta: usize) -> EvolutionPass {
         EvolutionPass {
             min_router_delta,
             min_link_delta,
             series: Vec::new(),
         }
     }
-}
 
-impl EvolutionPass {
-    /// Records one snapshot's counts — the column-driven feeder the
-    /// store-backed suite uses (the snapshot-driven pass delegates here).
+    /// Records one snapshot's counts.
     pub(crate) fn observe_counts(
         &mut self,
         timestamp: Timestamp,
@@ -150,21 +126,9 @@ impl EvolutionPass {
             external_links,
         });
     }
-}
 
-impl AnalysisPass for EvolutionPass {
-    type Output = EvolutionReport;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        self.observe_counts(
-            snapshot.timestamp,
-            snapshot.router_count(),
-            snapshot.internal_link_count(),
-            snapshot.external_link_count(),
-        );
-    }
-
-    fn finish(mut self) -> EvolutionReport {
+    /// Sorts the series and detects its change events.
+    pub(crate) fn finish(mut self) -> EvolutionReport {
         self.series.sort_by_key(|p| p.timestamp);
         let router_events = detect_changes(&self.series, |p| p.routers, self.min_router_delta);
         let internal_link_events =
@@ -180,7 +144,8 @@ impl AnalysisPass for EvolutionPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wm_model::{Link, LinkEnd, Load, MapKind, Node};
+    use crate::suite::report_of;
+    use wm_model::{Link, LinkEnd, Load, MapKind, Node, TopologySnapshot};
 
     fn snapshot(unix: i64, routers: usize, internal: usize, external: usize) -> TopologySnapshot {
         let mut s = TopologySnapshot::new(MapKind::Europe, Timestamp::from_unix(unix));
@@ -209,7 +174,7 @@ mod tests {
     #[test]
     fn series_is_sorted_and_counts_match() {
         let snaps = vec![snapshot(600, 5, 4, 2), snapshot(0, 4, 3, 1)];
-        let series = evolution_series(&snaps);
+        let series = report_of(&snaps).evolution.series;
         assert_eq!(series[0].timestamp, Timestamp::from_unix(0));
         assert_eq!(series[0].routers, 4);
         assert_eq!(series[1].internal_links, 4);
@@ -224,7 +189,7 @@ mod tests {
                 snapshot(i * 300, 5, internal, 1)
             })
             .collect();
-        let series = evolution_series(&snaps);
+        let series = report_of(&snaps).evolution.series;
         let events = detect_changes(&series, |p| p.internal_links, 3);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].delta(), 8);
@@ -236,7 +201,7 @@ mod tests {
         let snaps: Vec<TopologySnapshot> = (0..6)
             .map(|i| snapshot(i * 300, 5, 10 + (i % 2) as usize, 1))
             .collect();
-        let series = evolution_series(&snaps);
+        let series = report_of(&snaps).evolution.series;
         assert!(detect_changes(&series, |p| p.internal_links, 3).is_empty());
     }
 
@@ -259,7 +224,7 @@ mod tests {
 
     #[test]
     fn empty_series() {
-        assert!(evolution_series(&[]).is_empty());
+        assert!(report_of(&[]).evolution.series.is_empty());
         assert!(detect_changes(&[], |p| p.routers, 1).is_empty());
     }
 }

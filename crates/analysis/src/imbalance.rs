@@ -5,53 +5,41 @@
 //! (unused links) and `1 %` loads (indistinguishable from control
 //! traffic) and dropping sets left with fewer than two links.
 
-use wm_model::{LinkKind, TopologySnapshot};
+use wm_dataset::{QueryEngine, RowView};
+use wm_model::LinkKind;
 
+use crate::maintenance::original_ends;
 use crate::stats::Distribution;
-use crate::suite::AnalysisPass;
 
-/// One directed parallel set's imbalance measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupImbalance {
-    /// The traffic source endpoint.
-    pub from: String,
-    /// The traffic destination endpoint.
-    pub to: String,
-    /// Internal or external.
-    pub kind: LinkKind,
-    /// Loads considered (after the 0 %/1 % filter), in percent.
-    pub loads: Vec<f64>,
-    /// `max(loads) - min(loads)`, in percentage points.
-    pub imbalance: f64,
-}
-
-/// Computes the imbalance of every directed parallel set of a snapshot.
-#[must_use]
-pub fn group_imbalances(snapshot: &TopologySnapshot) -> Vec<GroupImbalance> {
-    let mut out = Vec::new();
-    for group in snapshot.parallel_groups() {
-        for (from, to) in [(&group.a, &group.b), (&group.b, &group.a)] {
-            let loads: Vec<f64> = snapshot
-                .loads_from(&group, from)
-                .into_iter()
-                .filter(|l| !l.is_control_noise())
-                .map(|l| l.as_f64())
-                .collect();
-            if loads.len() < 2 {
-                continue; // Sets with a single remaining link are removed.
-            }
-            let max = loads.iter().copied().fold(f64::MIN, f64::max);
-            let min = loads.iter().copied().fold(f64::MAX, f64::min);
-            out.push(GroupImbalance {
-                from: from.clone(),
-                to: to.clone(),
-                kind: group.kind,
-                loads,
-                imbalance: max - min,
-            });
+/// The imbalance of one directed parallel set: loads of the arrows
+/// leaving `from` (first matching end per row, in the row's listed
+/// orientation), 0 %/1 % discounted, sets left with fewer than two links
+/// removed.
+pub(crate) fn directed_imbalance(
+    engine: &QueryEngine<'_>,
+    group: &[RowView<'_>],
+    from: &str,
+) -> Option<f64> {
+    let mut kept = 0usize;
+    let mut min = u8::MAX;
+    let mut max = 0u8;
+    for row in group {
+        let (first_name, _, second_name, _) = original_ends(engine, row);
+        let load = if first_name == from {
+            row.first_load()
+        } else if second_name == from {
+            row.second_load()
+        } else {
+            continue;
+        };
+        if load <= 1 {
+            continue; // Disabled or control-noise loads are discounted.
         }
+        kept += 1;
+        min = min.min(load);
+        max = max.max(load);
     }
-    out
+    (kept >= 2).then(|| f64::from(max - min))
 }
 
 /// Accumulates imbalances over many snapshots, split by link kind.
@@ -68,17 +56,9 @@ impl ImbalanceCdf {
         ImbalanceCdf::default()
     }
 
-    /// Adds all directed-set imbalances of one snapshot.
-    pub fn add_snapshot(&mut self, snapshot: &TopologySnapshot) {
-        for g in group_imbalances(snapshot) {
-            self.push(g.kind, g.imbalance);
-        }
-    }
-
-    /// Adds one directed-set imbalance — the column-driven feeder the
-    /// store-backed suite uses. Callers must have applied the 0 %/1 %
-    /// filter and the minimum-set-size rule already.
-    pub(crate) fn push(&mut self, kind: LinkKind, imbalance: f64) {
+    /// Adds one directed-set imbalance. Callers must have applied the
+    /// 0 %/1 % filter and the minimum-set-size rule already.
+    pub fn push(&mut self, kind: LinkKind, imbalance: f64) {
         match kind {
             LinkKind::Internal => self.internal.push(imbalance),
             LinkKind::External => self.external.push(imbalance),
@@ -109,24 +89,11 @@ impl ImbalanceCdf {
     }
 }
 
-/// [`ImbalanceCdf`] is its own artifact: the pass accumulates and
-/// finishes into itself.
-impl AnalysisPass for ImbalanceCdf {
-    type Output = ImbalanceCdf;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        self.add_snapshot(snapshot);
-    }
-
-    fn finish(self) -> ImbalanceCdf {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wm_model::{Link, LinkEnd, Load, MapKind, Node, Timestamp};
+    use crate::suite::report_of;
+    use wm_model::{Link, LinkEnd, Load, MapKind, Node, Timestamp, TopologySnapshot};
 
     /// One group of parallel links between r-a and X (router or peering)
     /// with prescribed per-direction loads.
@@ -148,48 +115,66 @@ mod tests {
         s
     }
 
+    /// The suite's internal and external imbalance samples, sorted.
+    fn imbalances(s: TopologySnapshot) -> (Vec<f64>, Vec<f64>) {
+        let cdf = report_of(&[s]).imbalance;
+        (
+            cdf.internal().samples().to_vec(),
+            cdf.external().samples().to_vec(),
+        )
+    }
+
     #[test]
     fn imbalance_is_max_minus_min_per_direction() {
-        let s = snapshot(&[(30, 10), (34, 13)], false);
-        let imbalances = group_imbalances(&s);
-        assert_eq!(imbalances.len(), 2);
-        let from_a = imbalances.iter().find(|g| g.from == "r-a").unwrap();
-        assert_eq!(from_a.imbalance, 4.0);
-        let from_b = imbalances.iter().find(|g| g.from == "r-b").unwrap();
-        assert_eq!(from_b.imbalance, 3.0);
+        // From r-a: 34 - 30 = 4; from r-b: 13 - 10 = 3.
+        let (internal, external) = imbalances(snapshot(&[(30, 10), (34, 13)], false));
+        assert_eq!(internal, [3.0, 4.0]);
+        assert!(external.is_empty());
+        // Listed the other way round, each direction keeps its loads.
+        let mut reversed = snapshot(&[], false);
+        for (la, lb) in [(30u8, 10u8), (34, 13)] {
+            reversed.links.push(Link::new(
+                LinkEnd::new(Node::router("r-b"), None, Load::new(lb).unwrap()),
+                LinkEnd::new(Node::router("r-a"), None, Load::new(la).unwrap()),
+            ));
+        }
+        assert_eq!(imbalances(reversed).0, [3.0, 4.0]);
+        // With r-b's direction at control-noise level only r-a's set stays.
+        let (internal, _) = imbalances(snapshot(&[(30, 1), (34, 1)], false));
+        assert_eq!(internal, [4.0]);
     }
 
     #[test]
     fn zero_and_one_percent_loads_are_discounted() {
-        // Third link disabled (0 %), fourth at control-noise level (1 %).
-        let s = snapshot(&[(30, 10), (34, 13), (0, 0), (1, 1)], false);
-        let imbalances = group_imbalances(&s);
-        for g in &imbalances {
-            assert_eq!(g.loads.len(), 2, "filtered loads: {:?}", g.loads);
-        }
+        // Third link disabled (0 %), fourth at control-noise level (1 %):
+        // both directions keep exactly the first two links' spread.
+        let (internal, _) = imbalances(snapshot(&[(30, 10), (34, 13), (0, 0), (1, 1)], false));
+        assert_eq!(internal, [3.0, 4.0]);
     }
 
     #[test]
     fn singleton_sets_are_removed() {
         // Only one link carries usable traffic in each direction.
-        let s = snapshot(&[(30, 10), (0, 1)], false);
-        assert!(group_imbalances(&s).is_empty());
+        let (internal, external) = imbalances(snapshot(&[(30, 10), (0, 1)], false));
+        assert!(internal.is_empty() && external.is_empty());
     }
 
     #[test]
     fn kinds_are_tracked() {
-        let s = snapshot(&[(30, 10), (31, 12)], true);
-        let imbalances = group_imbalances(&s);
-        assert!(imbalances.iter().all(|g| g.kind == LinkKind::External));
+        let (internal, external) = imbalances(snapshot(&[(30, 10), (31, 12)], true));
+        assert!(internal.is_empty());
+        assert_eq!(external, [1.0, 2.0]);
     }
 
     #[test]
     fn cdf_headline() {
         let mut cdf = ImbalanceCdf::new();
         // Internal group: imbalances 4 and 3 (both directions > 1).
-        cdf.add_snapshot(&snapshot(&[(30, 10), (34, 13)], false));
+        cdf.push(LinkKind::Internal, 4.0);
+        cdf.push(LinkKind::Internal, 3.0);
         // External group: imbalances 1 and 2.
-        cdf.add_snapshot(&snapshot(&[(20, 10), (21, 12)], true));
+        cdf.push(LinkKind::External, 1.0);
+        cdf.push(LinkKind::External, 2.0);
         let (all_le_1, external_le_2) = cdf.headline();
         assert!((all_le_1 - 0.25).abs() < 1e-12, "{all_le_1}");
         assert!((external_le_2 - 1.0).abs() < 1e-12);
@@ -199,9 +184,7 @@ mod tests {
 
     #[test]
     fn perfectly_balanced_group_has_zero_imbalance() {
-        let s = snapshot(&[(25, 25), (25, 25), (25, 25)], false);
-        for g in group_imbalances(&s) {
-            assert_eq!(g.imbalance, 0.0);
-        }
+        let (internal, _) = imbalances(snapshot(&[(25, 25), (25, 25), (25, 25)], false));
+        assert_eq!(internal, [0.0, 0.0]);
     }
 }

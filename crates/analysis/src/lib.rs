@@ -1,7 +1,11 @@
 //! Analyses of the OVH Weather dataset — §5 of the paper as a library.
 //!
-//! Each module regenerates one of the paper's evaluation artifacts from
-//! extracted [`wm_model::TopologySnapshot`]s:
+//! One engine, [`AnalysisSuite::run_store`], regenerates every §5
+//! artifact in a single scan of a columnar
+//! [`wm_dataset::LongitudinalStore`] (callers holding extracted
+//! snapshots build one with `LongitudinalStore::from_snapshots`) and
+//! returns them together as a [`SuiteReport`]. Each module owns one
+//! artifact's types and rules:
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -34,24 +38,16 @@ pub mod tables;
 pub mod timeframe;
 pub mod upgrades;
 
-pub use degree::{DegreeAnalysis, DegreePass};
-pub use evolution::{
-    detect_changes, evolution_series, ChangeEvent, EvolutionPass, EvolutionPoint, EvolutionReport,
-};
-pub use imbalance::{group_imbalances, GroupImbalance, ImbalanceCdf};
+pub use degree::DegreeAnalysis;
+pub use evolution::{detect_changes, ChangeEvent, EvolutionPoint, EvolutionReport};
+pub use imbalance::ImbalanceCdf;
 pub use loads::{HourlyLoads, LoadCdf};
-pub use maintenance::{
-    disabled_fraction, maintenance_windows, LinkKey, MaintenancePass, MaintenanceReport,
-    MaintenanceWindow,
-};
-pub use sites::{site_counts, site_growth, SiteCounts, SiteGrowth, SitesPass};
+pub use maintenance::{LinkKey, MaintenanceReport, MaintenanceWindow};
+pub use sites::{SiteCounts, SiteGrowth};
 pub use stats::{Distribution, WhiskerSummary};
-pub use suite::{AnalysisPass, AnalysisSuite, SuiteConfig, SuiteReport};
-pub use tables::{table1, Table1, Table1Row, TablePass};
-pub use timeframe::{
-    coverage_segments, CoverageSegment, GapDistribution, TimeframePass, TimeframeReport,
-};
+pub use suite::{AnalysisSuite, SuiteConfig, SuiteReport};
+pub use tables::{Table1, Table1Row};
+pub use timeframe::{coverage_segments, CoverageSegment, GapDistribution, TimeframeReport};
 pub use upgrades::{
-    detect_upgrade, observe_group, CapacityRecord, UpgradeOutcome, UpgradePass, UpgradeReport,
-    UpgradeTarget,
+    detect_upgrade, observe_group, CapacityRecord, UpgradeOutcome, UpgradeReport, UpgradeTarget,
 };

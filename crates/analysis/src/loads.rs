@@ -1,9 +1,8 @@
 //! Link-load analyses (Fig. 5a and Fig. 5b).
 
-use wm_model::{LinkKind, TopologySnapshot};
+use wm_model::LinkKind;
 
 use crate::stats::{Distribution, WhiskerSummary};
-use crate::suite::AnalysisPass;
 
 /// Loads grouped by hour of day — the Fig. 5a machinery.
 ///
@@ -21,32 +20,25 @@ impl HourlyLoads {
         HourlyLoads::default()
     }
 
-    /// Adds every directed load of a snapshot to its hour bucket.
-    pub fn add_snapshot(&mut self, snapshot: &TopologySnapshot) {
-        let hour = snapshot.timestamp.hour_of_day();
-        for (_, load) in snapshot.directed_loads() {
-            self.push(hour, load.as_f64());
-        }
-    }
-
-    /// Adds one directed load to an hour bucket — the column-driven
-    /// feeder the store-backed suite uses.
-    pub(crate) fn push(&mut self, hour: u8, value: f64) {
+    /// Adds one directed load to an hour bucket (hours past 23 are
+    /// ignored).
+    pub fn push(&mut self, hour: u8, value: f64) {
         if let Some(bucket) = self.buckets.get_mut(hour as usize) {
             bucket.push(value);
         }
     }
 
-    /// Number of samples collected for one hour.
+    /// Number of samples collected for one hour (0 past hour 23).
     #[must_use]
     pub fn samples_in_hour(&self, hour: u8) -> usize {
-        self.buckets[hour as usize].len()
+        self.buckets.get(hour as usize).map_or(0, Vec::len)
     }
 
-    /// The whisker summary of one hour (`None` when the bucket is empty).
+    /// The whisker summary of one hour (`None` when the bucket is empty
+    /// or the hour is past 23).
     #[must_use]
     pub fn summary(&self, hour: u8) -> Option<WhiskerSummary> {
-        let dist = Distribution::new(self.buckets[hour as usize].clone());
+        let dist = Distribution::new(self.buckets.get(hour as usize)?.clone());
         WhiskerSummary::of(&dist)
     }
 
@@ -72,20 +64,6 @@ impl HourlyLoads {
     }
 }
 
-/// [`HourlyLoads`] is its own artifact: the pass accumulates and
-/// finishes into itself.
-impl AnalysisPass for HourlyLoads {
-    type Output = HourlyLoads;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        self.add_snapshot(snapshot);
-    }
-
-    fn finish(self) -> HourlyLoads {
-        self
-    }
-}
-
 /// Load CDFs split by link kind — the Fig. 5b machinery.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoadCdf {
@@ -101,16 +79,8 @@ impl LoadCdf {
         LoadCdf::default()
     }
 
-    /// Adds every directed load of a snapshot.
-    pub fn add_snapshot(&mut self, snapshot: &TopologySnapshot) {
-        for (kind, load) in snapshot.directed_loads() {
-            self.push(kind, load.as_f64());
-        }
-    }
-
-    /// Adds one directed load — the column-driven feeder the
-    /// store-backed suite uses.
-    pub(crate) fn push(&mut self, kind: LinkKind, value: f64) {
+    /// Adds one directed load.
+    pub fn push(&mut self, kind: LinkKind, value: f64) {
         self.all.push(value);
         match kind {
             LinkKind::Internal => self.internal.push(value),
@@ -149,24 +119,11 @@ impl LoadCdf {
     }
 }
 
-/// [`LoadCdf`] is its own artifact: the pass accumulates and finishes
-/// into itself.
-impl AnalysisPass for LoadCdf {
-    type Output = LoadCdf;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        self.add_snapshot(snapshot);
-    }
-
-    fn finish(self) -> LoadCdf {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wm_model::{Link, LinkEnd, Load, MapKind, Node, Timestamp};
+    use crate::suite::report_of;
+    use wm_model::{Link, LinkEnd, Load, MapKind, Node, Timestamp, TopologySnapshot};
 
     fn snapshot(hour: u8, loads: &[(u8, u8, bool)]) -> TopologySnapshot {
         let mut s = TopologySnapshot::new(
@@ -192,9 +149,11 @@ mod tests {
 
     #[test]
     fn hourly_buckets_fill_by_capture_hour() {
-        let mut hourly = HourlyLoads::new();
-        hourly.add_snapshot(&snapshot(3, &[(10, 20, true)]));
-        hourly.add_snapshot(&snapshot(20, &[(40, 50, true), (60, 70, true)]));
+        let hourly = report_of(&[
+            snapshot(3, &[(10, 20, true)]),
+            snapshot(20, &[(40, 50, true), (60, 70, true)]),
+        ])
+        .hourly;
         assert_eq!(hourly.samples_in_hour(3), 2);
         assert_eq!(hourly.samples_in_hour(20), 4);
         assert_eq!(hourly.samples_in_hour(12), 0);
@@ -204,19 +163,33 @@ mod tests {
     }
 
     #[test]
+    fn hours_past_23_read_as_empty() {
+        let mut hourly = HourlyLoads::new();
+        for hour in [0, 23, 24, 255] {
+            hourly.push(hour, 50.0);
+        }
+        for hour in [24, 255] {
+            assert_eq!(hourly.samples_in_hour(hour), 0);
+            assert!(hourly.summary(hour).is_none());
+        }
+        assert_eq!(hourly.samples_in_hour(23), 1);
+        assert_eq!(hourly.summaries().iter().flatten().count(), 2);
+    }
+
+    #[test]
     fn extreme_hours_identify_trough_and_peak() {
         let mut hourly = HourlyLoads::new();
-        hourly.add_snapshot(&snapshot(3, &[(5, 5, true)]));
-        hourly.add_snapshot(&snapshot(12, &[(20, 20, true)]));
-        hourly.add_snapshot(&snapshot(20, &[(50, 50, true)]));
+        for (hour, load) in [(3, 5.0), (12, 20.0), (20, 50.0)] {
+            hourly.push(hour, load);
+            hourly.push(hour, load);
+        }
         assert_eq!(hourly.extreme_hours(), Some((3, 20)));
         assert_eq!(HourlyLoads::new().extreme_hours(), None);
     }
 
     #[test]
     fn cdf_splits_by_kind() {
-        let mut cdf = LoadCdf::new();
-        cdf.add_snapshot(&snapshot(10, &[(10, 20, true), (2, 4, false)]));
+        let cdf = report_of(&[snapshot(10, &[(10, 20, true), (2, 4, false)])]).load_cdf;
         assert_eq!(cdf.all().len(), 4);
         assert_eq!(cdf.internal().len(), 2);
         assert_eq!(cdf.external().len(), 2);
@@ -228,8 +201,12 @@ mod tests {
     fn headline_reports_the_fig_5b_facts() {
         let mut cdf = LoadCdf::new();
         // 8 loads: internals hot, externals cool, one above 60.
-        cdf.add_snapshot(&snapshot(10, &[(30, 25, true), (20, 65, true)]));
-        cdf.add_snapshot(&snapshot(11, &[(5, 10, false), (8, 12, false)]));
+        for load in [30.0, 25.0, 20.0, 65.0] {
+            cdf.push(LinkKind::Internal, load);
+        }
+        for load in [5.0, 10.0, 8.0, 12.0] {
+            cdf.push(LinkKind::External, load);
+        }
         let (p75, above60, delta) = cdf.headline().unwrap();
         assert!(p75 <= 30.0, "p75 {p75}");
         assert!((above60 - 0.125).abs() < 1e-12);

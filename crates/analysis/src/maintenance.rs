@@ -9,9 +9,8 @@
 
 use std::collections::BTreeMap;
 
-use wm_model::{Timestamp, TopologySnapshot};
-
-use crate::suite::AnalysisPass;
+use wm_dataset::{QueryEngine, RowView};
+use wm_model::Timestamp;
 
 /// Identity of one physical link across snapshots: the unordered endpoint
 /// pair plus the `#n` labels (parallel links are distinguished by label;
@@ -28,6 +27,42 @@ pub struct LinkKey {
     pub label_b: Option<String>,
 }
 
+/// The original listed orientation of a row: `(first end's name and
+/// label, second end's name and label)`.
+pub(crate) fn original_ends<'e>(
+    engine: &QueryEngine<'e>,
+    row: &RowView<'e>,
+) -> (&'e str, &'e Option<String>, &'e str, &'e Option<String>) {
+    let name_a = engine.node_name(row.def.a);
+    let name_b = engine.node_name(row.def.b);
+    if row.flipped {
+        (name_b, &row.def.label_b, name_a, &row.def.label_a)
+    } else {
+        (name_a, &row.def.label_a, name_b, &row.def.label_b)
+    }
+}
+
+/// The [`LinkKey`] of a column row: ends ordered by name, labels
+/// following their end, ties keeping the original listed order.
+pub(crate) fn link_key_of(engine: &QueryEngine<'_>, row: &RowView<'_>) -> LinkKey {
+    let (first_name, first_label, second_name, second_label) = original_ends(engine, row);
+    if first_name <= second_name {
+        LinkKey {
+            a: first_name.to_owned(),
+            b: second_name.to_owned(),
+            label_a: first_label.clone(),
+            label_b: second_label.clone(),
+        }
+    } else {
+        LinkKey {
+            a: second_name.to_owned(),
+            b: first_name.to_owned(),
+            label_a: second_label.clone(),
+            label_b: first_label.clone(),
+        }
+    }
+}
+
 /// One contiguous stretch of snapshots in which a link was disabled.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaintenanceWindow {
@@ -39,33 +74,6 @@ pub struct MaintenanceWindow {
     pub end: Timestamp,
     /// Number of snapshots inside the window.
     pub snapshots: usize,
-}
-
-/// Detects per-link maintenance windows over a time-ordered series.
-///
-/// A window opens when a link reads `0 %` in both directions and closes
-/// at the first later snapshot where it carries traffic again (or where
-/// the link disappears from the map, which ends observation rather than
-/// maintenance — such open windows are reported too, ending at the last
-/// sighting).
-#[must_use]
-pub fn maintenance_windows(snapshots: &[TopologySnapshot]) -> Vec<MaintenanceWindow> {
-    run_pass(snapshots).windows
-}
-
-/// Fraction of link-snapshot observations that were disabled — a
-/// one-number health summary of the series.
-#[must_use]
-pub fn disabled_fraction(snapshots: &[TopologySnapshot]) -> f64 {
-    run_pass(snapshots).disabled_fraction()
-}
-
-fn run_pass(snapshots: &[TopologySnapshot]) -> MaintenanceReport {
-    let mut pass = MaintenancePass::default();
-    for snapshot in snapshots {
-        pass.observe(snapshot);
-    }
-    pass.finish()
 }
 
 /// The finished maintenance artifact of one series scan.
@@ -92,11 +100,16 @@ impl MaintenanceReport {
     }
 }
 
-/// Streaming fold producing a [`MaintenanceReport`] — the
-/// [`AnalysisPass`] behind [`maintenance_windows`] and
-/// [`disabled_fraction`].
+/// Per-link maintenance-window detection over a time-ordered stream of
+/// link observations.
+///
+/// A window opens when a link reads `0 %` in both directions and closes
+/// at the first later observation where it carries traffic again (or
+/// where the link disappears from the map, which ends observation rather
+/// than maintenance — such open windows are reported too, ending at the
+/// last sighting).
 #[derive(Debug, Clone, Default)]
-pub struct MaintenancePass {
+pub(crate) struct MaintenancePass {
     /// Open windows: key -> (start, last_seen, count).
     open: BTreeMap<LinkKey, (Timestamp, Timestamp, usize)>,
     closed: Vec<MaintenanceWindow>,
@@ -105,9 +118,7 @@ pub struct MaintenancePass {
 }
 
 impl MaintenancePass {
-    /// Folds one link observation — the column-driven feeder the
-    /// store-backed suite uses (the snapshot-driven pass delegates
-    /// here).
+    /// Folds one link observation.
     pub(crate) fn observe_link(&mut self, at: Timestamp, key: LinkKey, disabled: bool) {
         self.observations += 1;
         if disabled {
@@ -128,20 +139,10 @@ impl MaintenancePass {
             });
         }
     }
-}
 
-impl AnalysisPass for MaintenancePass {
-    type Output = MaintenanceReport;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        for link in &snapshot.links {
-            self.observe_link(snapshot.timestamp, key_of(link), link.is_disabled());
-        }
-    }
-
-    fn finish(self) -> MaintenanceReport {
+    /// Closes the stream: windows still open are reported too.
+    pub(crate) fn finish(self) -> MaintenanceReport {
         let mut windows = self.closed;
-        // Windows still open at the end of the series.
         for (key, (start, last, count)) in self.open {
             windows.push(MaintenanceWindow {
                 link: key,
@@ -159,35 +160,11 @@ impl AnalysisPass for MaintenancePass {
     }
 }
 
-fn key_of(link: &wm_model::Link) -> LinkKey {
-    let (a_first, (a, b)) = if link.a.node.name <= link.b.node.name {
-        (
-            true,
-            (link.a.node.name.to_string(), link.b.node.name.to_string()),
-        )
-    } else {
-        (
-            false,
-            (link.b.node.name.to_string(), link.a.node.name.to_string()),
-        )
-    };
-    let (label_a, label_b) = if a_first {
-        (link.a.label.clone(), link.b.label.clone())
-    } else {
-        (link.b.label.clone(), link.a.label.clone())
-    };
-    LinkKey {
-        a,
-        b,
-        label_a,
-        label_b,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wm_model::{Link, LinkEnd, Load, MapKind, Node};
+    use crate::suite::report_of;
+    use wm_model::{Link, LinkEnd, Load, MapKind, Node, TopologySnapshot};
 
     /// One link between r-a and r-b with the given loads per snapshot.
     fn series(loads: &[(u8, u8)]) -> Vec<TopologySnapshot> {
@@ -219,7 +196,7 @@ mod tests {
     #[test]
     fn detects_a_closed_window() {
         let snaps = series(&[(10, 12), (0, 0), (0, 0), (9, 11)]);
-        let windows = maintenance_windows(&snaps);
+        let windows = report_of(&snaps).maintenance.windows;
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].start, Timestamp::from_unix(300));
         assert_eq!(windows[0].end, Timestamp::from_unix(600));
@@ -230,7 +207,7 @@ mod tests {
     #[test]
     fn open_windows_are_reported() {
         let snaps = series(&[(10, 12), (0, 0)]);
-        let windows = maintenance_windows(&snaps);
+        let windows = report_of(&snaps).maintenance.windows;
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].start, Timestamp::from_unix(300));
         assert_eq!(windows[0].end, Timestamp::from_unix(300));
@@ -239,7 +216,7 @@ mod tests {
     #[test]
     fn separate_windows_stay_separate() {
         let snaps = series(&[(0, 0), (10, 10), (0, 0), (10, 10)]);
-        let windows = maintenance_windows(&snaps);
+        let windows = report_of(&snaps).maintenance.windows;
         assert_eq!(windows.len(), 2);
     }
 
@@ -248,14 +225,16 @@ mod tests {
         // 0 % egress with traffic coming back is an idle direction, not a
         // disabled link.
         let snaps = series(&[(0, 12), (0, 9)]);
-        assert!(maintenance_windows(&snaps).is_empty());
+        assert!(report_of(&snaps).maintenance.windows.is_empty());
     }
 
     #[test]
     fn disabled_fraction_counts_observations() {
         let snaps = series(&[(10, 12), (0, 0), (0, 0), (9, 11)]);
-        assert!((disabled_fraction(&snaps) - 0.5).abs() < 1e-12);
-        assert_eq!(disabled_fraction(&[]), 0.0);
+        let report = report_of(&snaps).maintenance;
+        assert_eq!((report.observations, report.disabled), (4, 2));
+        assert!((report.disabled_fraction() - 0.5).abs() < 1e-12);
+        assert_eq!(report_of(&[]).maintenance.disabled_fraction(), 0.0);
     }
 
     #[test]
@@ -268,7 +247,7 @@ mod tests {
                 LinkEnd::new(Node::router("r-b"), Some("#2".into()), Load::ZERO),
             ));
         }
-        let windows = maintenance_windows(&snaps);
+        let windows = report_of(&snaps).maintenance.windows;
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].link.label_a.as_deref(), Some("#2"));
         assert_eq!(windows[0].snapshots, 2);

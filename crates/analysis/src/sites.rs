@@ -9,9 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use wm_model::{Timestamp, TopologySnapshot};
-
-use crate::suite::AnalysisPass;
+use wm_model::Timestamp;
 
 /// Router and attached-link counts of one site at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -21,27 +19,6 @@ pub struct SiteCounts {
     /// Link endpoints attached to those routers (parallel links counted;
     /// a link internal to the site counts once per attached end).
     pub link_ends: usize,
-}
-
-/// Counts routers and attached link ends per site prefix.
-#[must_use]
-pub fn site_counts(snapshot: &TopologySnapshot) -> BTreeMap<String, SiteCounts> {
-    let mut counts: BTreeMap<String, SiteCounts> = BTreeMap::new();
-    for router in snapshot.routers() {
-        if let Some(site) = router.site() {
-            counts.entry(site.to_owned()).or_default().routers += 1;
-        }
-    }
-    for link in &snapshot.links {
-        for end in [&link.a, &link.b] {
-            if let Some(site) = end.node.site() {
-                if let Some(entry) = counts.get_mut(site) {
-                    entry.link_ends += 1;
-                }
-            }
-        }
-    }
-    counts
 }
 
 /// One site's first/last counts over a series.
@@ -73,28 +50,14 @@ impl SiteGrowth {
     }
 }
 
-/// Computes per-site growth over a time-ordered snapshot series, sorted
-/// by descending link growth (the "which parts grow fastest" ranking).
-#[must_use]
-pub fn site_growth(snapshots: &[TopologySnapshot]) -> Vec<SiteGrowth> {
-    let mut pass = SitesPass::default();
-    for snapshot in snapshots {
-        pass.observe(snapshot);
-    }
-    pass.finish()
-}
-
-/// Streaming fold producing the per-site growth ranking — the
-/// [`AnalysisPass`] behind [`site_growth`].
+/// Per-site first/last counts over a snapshot series.
 #[derive(Debug, Clone, Default)]
-pub struct SitesPass {
+pub(crate) struct SitesPass {
     growth: BTreeMap<String, SiteGrowth>,
 }
 
 impl SitesPass {
-    /// Folds one snapshot's per-site counts — the column-driven feeder
-    /// the store-backed suite uses (the snapshot-driven pass delegates
-    /// here).
+    /// Folds one snapshot's per-site counts.
     pub(crate) fn observe_counts(
         &mut self,
         timestamp: Timestamp,
@@ -122,16 +85,10 @@ impl SitesPass {
                 });
         }
     }
-}
 
-impl AnalysisPass for SitesPass {
-    type Output = Vec<SiteGrowth>;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        self.observe_counts(snapshot.timestamp, site_counts(snapshot));
-    }
-
-    fn finish(self) -> Vec<SiteGrowth> {
+    /// The growth ranking: descending link growth (the "which parts grow
+    /// fastest" ranking), ties by site name.
+    pub(crate) fn finish(self) -> Vec<SiteGrowth> {
         let mut out: Vec<SiteGrowth> = self.growth.into_values().collect();
         out.sort_by(|a, b| {
             b.link_growth()
@@ -145,7 +102,20 @@ impl AnalysisPass for SitesPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wm_model::{Link, LinkEnd, Load, MapKind, Node};
+    use crate::suite::report_of;
+    use wm_model::{Link, LinkEnd, Load, MapKind, Node, TopologySnapshot};
+
+    /// The per-site counts of one snapshot, as the suite tallies them.
+    fn counts_of(s: TopologySnapshot) -> BTreeMap<String, SiteCounts> {
+        report_of(&[s])
+            .sites
+            .into_iter()
+            .map(|g| {
+                assert_eq!(g.first, g.last);
+                (g.site, g.last)
+            })
+            .collect()
+    }
 
     fn snapshot(unix: i64, spec: &[(&str, usize)]) -> TopologySnapshot {
         // spec: (site, routers); each router links once to a shared hub.
@@ -167,7 +137,7 @@ mod tests {
     #[test]
     fn counts_group_by_prefix() {
         let s = snapshot(0, &[("rbx", 3), ("gra", 1)]);
-        let counts = site_counts(&s);
+        let counts = counts_of(s);
         assert_eq!(
             counts["rbx"],
             SiteCounts {
@@ -192,7 +162,7 @@ mod tests {
             LinkEnd::new(Node::router("rbx-g0-nc0"), None, Load::ZERO),
             LinkEnd::new(Node::router("rbx-g1-nc1"), None, Load::ZERO),
         ));
-        let counts = site_counts(&s);
+        let counts = counts_of(s);
         assert_eq!(counts["rbx"].link_ends, 4);
     }
 
@@ -202,7 +172,7 @@ mod tests {
             snapshot(0, &[("rbx", 2), ("gra", 2)]),
             snapshot(86_400, &[("rbx", 5), ("gra", 2)]),
         ];
-        let growth = site_growth(&series);
+        let growth = report_of(&series).sites;
         assert_eq!(growth[0].site, "rbx");
         assert_eq!(growth[0].router_growth(), 3);
         assert_eq!(growth[0].link_growth(), 3);
@@ -217,7 +187,7 @@ mod tests {
             snapshot(86_400, &[("rbx", 2), ("waw", 1)]),
             snapshot(2 * 86_400, &[("rbx", 2), ("waw", 3)]),
         ];
-        let growth = site_growth(&series);
+        let growth = report_of(&series).sites;
         let waw = growth.iter().find(|g| g.site == "waw").unwrap();
         assert_eq!(waw.first_seen, Timestamp::from_unix(86_400));
         assert_eq!(waw.router_growth(), 2);
@@ -225,6 +195,6 @@ mod tests {
 
     #[test]
     fn empty_series() {
-        assert!(site_growth(&[]).is_empty());
+        assert!(report_of(&[]).sites.is_empty());
     }
 }

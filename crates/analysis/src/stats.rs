@@ -57,7 +57,10 @@ impl Distribution {
         let low = pos.floor() as usize;
         let high = pos.ceil() as usize;
         let frac = pos - low as f64;
-        Some(self.sorted[low] * (1.0 - frac) + self.sorted[high] * frac)
+        let (Some(&below), Some(&above)) = (self.sorted.get(low), self.sorted.get(high)) else {
+            return None;
+        };
+        Some(below * (1.0 - frac) + above * frac)
     }
 
     /// The median.
@@ -90,17 +93,14 @@ impl Distribution {
     /// points a CDF plot would draw.
     #[must_use]
     pub fn cdf_points(&self) -> Vec<(f64, f64)> {
-        let mut points = Vec::new();
+        let mut points: Vec<(f64, f64)> = Vec::new();
         let n = self.sorted.len() as f64;
-        let mut i = 0;
-        while i < self.sorted.len() {
-            let x = self.sorted[i];
-            let mut j = i;
-            while j < self.sorted.len() && self.sorted[j] == x {
-                j += 1;
+        for (seen, &x) in self.sorted.iter().enumerate() {
+            let cdf = (seen + 1) as f64 / n;
+            match points.last_mut() {
+                Some(last) if last.0 == x => last.1 = cdf,
+                _ => points.push((x, cdf)),
             }
-            points.push((x, j as f64 / n));
-            i = j;
         }
         points
     }

@@ -1,48 +1,20 @@
-//! The single-pass §5 analysis engine.
-//!
-//! Historically every analysis consumed its own `&[TopologySnapshot]`
-//! slice, so regenerating the paper's artifacts meant loading the corpus
-//! once per figure. [`AnalysisPass`] recasts each analysis as a streaming
-//! fold — observe snapshots one at a time, produce the artifact at the
-//! end — and [`AnalysisSuite`] runs all nine §5 modules concurrently over
-//! one corpus scan. The suite is itself a pass, so it composes: anything
-//! that can drive one pass (a snapshot slice, a
-//! `LongitudinalStore`'s reconstruction iterator) can drive all of them.
+//! The single-pass §5 analysis engine, [`AnalysisSuite::run_store`].
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use wm_dataset::{LongitudinalStore, QueryEngine, RowView};
 use wm_extract::KernelStats;
-use wm_model::{Duration, LinkKind, MapKind, TimeRange, TopologySnapshot};
+use wm_model::{Duration, LinkKind, MapKind, TimeRange};
 
-use crate::degree::{DegreeAnalysis, DegreePass};
+use crate::degree::DegreeAnalysis;
 use crate::evolution::{EvolutionPass, EvolutionReport};
-use crate::imbalance::ImbalanceCdf;
+use crate::imbalance::{directed_imbalance, ImbalanceCdf};
 use crate::loads::{HourlyLoads, LoadCdf};
-use crate::maintenance::{LinkKey, MaintenancePass, MaintenanceReport};
+use crate::maintenance::{link_key_of, MaintenancePass, MaintenanceReport};
 use crate::sites::{SiteCounts, SiteGrowth, SitesPass};
-use crate::tables::{table1_from_counts, MapCounts, Table1, TablePass};
+use crate::tables::{table1_of, Table1};
 use crate::timeframe::{TimeframePass, TimeframeReport};
-use crate::upgrades::{UpgradeOutcome, UpgradePass, UpgradeTarget};
-
-/// A streaming analysis: folds snapshots one at a time, then finishes
-/// into its artifact.
-///
-/// Implementations must not assume they see every snapshot of a corpus
-/// or that snapshots arrive from a single map — only that arrival order
-/// is ascending `(timestamp, extraction order)`, which is what the
-/// shared loader guarantees.
-pub trait AnalysisPass {
-    /// The finished artifact.
-    type Output;
-
-    /// Folds one snapshot into the running state.
-    fn observe(&mut self, snapshot: &TopologySnapshot);
-
-    /// Consumes the state and produces the artifact.
-    fn finish(self) -> Self::Output;
-}
+use crate::upgrades::{detect_upgrade, observe_group, UpgradeOutcome, UpgradeTarget};
 
 /// Tuning knobs of an [`AnalysisSuite`] run.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,13 +27,10 @@ pub struct SuiteConfig {
     pub min_link_delta: usize,
     /// When set, the Fig. 6 upgrade forensics to run alongside.
     pub upgrade: Option<UpgradeTarget>,
-    /// When set, snapshots outside this half-open window are ignored.
-    ///
-    /// The windowed dataset loader already restricts what it *loads*;
-    /// this is the belt-and-braces filter that makes the suite itself
-    /// range-aware, so driving it from an unrestricted source (a full
-    /// snapshot slice, a whole columnar store) produces the same report
-    /// as driving it from a windowed load.
+    /// When set, only snapshots inside this half-open window are
+    /// analysed: the suite scans just the store's rows in the window, so
+    /// a whole store analysed with a range reports exactly what a
+    /// windowed load of that range reports.
     pub range: Option<TimeRange>,
 }
 
@@ -77,78 +46,48 @@ impl Default for SuiteConfig {
     }
 }
 
-/// All nine §5 analyses folded concurrently over one snapshot stream.
+/// All nine §5 analyses folded concurrently over one store scan.
 #[derive(Debug, Clone)]
 pub struct AnalysisSuite {
     snapshots: usize,
-    range: Option<TimeRange>,
     timeframe: TimeframePass,
     evolution: EvolutionPass,
-    degree: DegreePass,
     hourly: HourlyLoads,
     load_cdf: LoadCdf,
     imbalance: ImbalanceCdf,
-    table: TablePass,
     sites: SitesPass,
     maintenance: MaintenancePass,
-    upgrade: Option<UpgradePass>,
 }
 
 impl AnalysisSuite {
-    /// Creates a suite with the given configuration.
-    #[must_use]
-    pub fn new(config: SuiteConfig) -> AnalysisSuite {
+    fn new(config: &SuiteConfig) -> AnalysisSuite {
         AnalysisSuite {
             snapshots: 0,
-            range: config.range,
             timeframe: TimeframePass::new(config.max_gap),
             evolution: EvolutionPass::new(config.min_router_delta, config.min_link_delta),
-            degree: DegreePass::default(),
             hourly: HourlyLoads::new(),
             load_cdf: LoadCdf::new(),
             imbalance: ImbalanceCdf::new(),
-            table: TablePass::default(),
             sites: SitesPass::default(),
             maintenance: MaintenancePass::default(),
-            upgrade: config.upgrade.map(UpgradePass::new),
         }
     }
 
-    /// Runs the whole suite over an already-materialised snapshot source
-    /// — a slice, an owned vector, or a columnar store's reconstruction
-    /// iterator.
-    pub fn run<I, T>(config: SuiteConfig, snapshots: I) -> SuiteReport
-    where
-        I: IntoIterator<Item = T>,
-        T: Borrow<TopologySnapshot>,
-    {
-        let mut suite = AnalysisSuite::new(config);
-        for snapshot in snapshots {
-            suite.observe(snapshot.borrow());
-        }
-        suite.finish()
-    }
-
-    /// Runs the whole suite directly over a columnar store, via the
-    /// query engine's catalog and row visitors.
+    /// Runs the whole suite over a columnar store, via the query
+    /// engine's catalog and row visitors.
     ///
-    /// The streaming §5 passes (loads, imbalance, sites, tables,
-    /// evolution, timeframe, maintenance) read the CSR load columns —
-    /// no [`TopologySnapshot`] is reconstructed for them; only Fig. 4c's
-    /// final-state degree analysis and the optional Fig. 6 forensics
-    /// rebuild snapshots. The report is byte-identical to
-    /// [`AnalysisSuite::run`] over the store's reconstructed snapshots,
-    /// and the returned [`KernelStats`] counts the column work done.
+    /// The streaming §5 analyses (loads, imbalance, sites, tables,
+    /// evolution, timeframe, maintenance) read the CSR load columns — no
+    /// snapshot is reconstructed for them; only Fig. 4c's final-state
+    /// degree analysis and the optional Fig. 6 forensics rebuild
+    /// snapshots. The returned [`KernelStats`] counts the column work
+    /// done. Callers holding snapshots build the store with
+    /// [`LongitudinalStore::from_snapshots`].
     pub fn run_store(config: SuiteConfig, store: &LongitudinalStore) -> (SuiteReport, KernelStats) {
         let engine = QueryEngine::new(store);
         let range = config.range.unwrap_or(TimeRange::ALL);
         let indices = engine.snapshot_range(range);
-        let upgrade_target = config.upgrade.clone();
-        let mut suite = AnalysisSuite::new(SuiteConfig {
-            upgrade: None,
-            range: None,
-            ..config
-        });
+        let mut suite = AnalysisSuite::new(&config);
 
         // Reusable imbalance scratch: member rows per parallel group.
         let mut members: Vec<Vec<RowView<'_>>> = vec![Vec::new(); engine.pair_count()];
@@ -234,7 +173,7 @@ impl AnalysisSuite {
             suite.sites.observe_counts(timestamp, site_counts);
 
             // Directed parallel-set imbalances, groups in endpoint-pair
-            // order, members in row order — exactly `group_imbalances`.
+            // order, members in row order.
             used_pairs.sort_unstable();
             for &rank in &used_pairs {
                 let Some(group) = members.get(rank as usize) else {
@@ -254,18 +193,21 @@ impl AnalysisSuite {
             }
         }
 
-        let mut report = suite.finish();
-
-        // Table 1 and Fig. 4c read one state per map / the final state.
-        report.table1 = table1_from_counts(&map_counts(&engine, &latest_per_map));
-        report.degree = last_index.map(|index| DegreeAnalysis::of(&store.snapshot(index)));
-        if let Some(target) = upgrade_target {
-            let mut pass = UpgradePass::new(target);
-            for index in indices.clone() {
-                pass.observe(&store.snapshot(index));
+        // Table 1 reads the latest state per map, Fig. 4c the final
+        // state, Fig. 6 the monitored group of every snapshot.
+        let table1 = table1_of(&engine, &latest_per_map);
+        let degree = last_index.map(|index| DegreeAnalysis::of(&store.snapshot(index)));
+        let upgrade = config.upgrade.map(|target| {
+            let observations: Vec<_> = indices
+                .clone()
+                .filter_map(|index| observe_group(&store.snapshot(index), &target.from, &target.to))
+                .collect();
+            let report = detect_upgrade(&observations, &target.records);
+            UpgradeOutcome {
+                observations,
+                report,
             }
-            report.upgrade = Some(pass.finish());
-        }
+        });
 
         let stats = KernelStats {
             queries: 1,
@@ -274,140 +216,27 @@ impl AnalysisSuite {
             rows_scanned,
             samples: rows_scanned * 2,
         };
-        (report, stats)
-    }
-}
-
-/// The original listed orientation of a row: `(first end's name and
-/// label, second end's name and label)`.
-fn original_ends<'e>(
-    engine: &QueryEngine<'e>,
-    row: &RowView<'e>,
-) -> (&'e str, &'e Option<String>, &'e str, &'e Option<String>) {
-    let name_a = engine.node_name(row.def.a);
-    let name_b = engine.node_name(row.def.b);
-    if row.flipped {
-        (name_b, &row.def.label_b, name_a, &row.def.label_a)
-    } else {
-        (name_a, &row.def.label_a, name_b, &row.def.label_b)
-    }
-}
-
-/// Reproduces the maintenance pass's `key_of` from a column row: ends
-/// ordered by name, labels following their end, ties keeping the
-/// original listed order.
-fn link_key_of(engine: &QueryEngine<'_>, row: &RowView<'_>) -> LinkKey {
-    let (first_name, first_label, second_name, second_label) = original_ends(engine, row);
-    if first_name <= second_name {
-        LinkKey {
-            a: first_name.to_owned(),
-            b: second_name.to_owned(),
-            label_a: first_label.clone(),
-            label_b: second_label.clone(),
-        }
-    } else {
-        LinkKey {
-            a: second_name.to_owned(),
-            b: first_name.to_owned(),
-            label_a: second_label.clone(),
-            label_b: first_label.clone(),
-        }
-    }
-}
-
-/// The imbalance of one directed parallel set: loads of the arrows
-/// leaving `from` (first matching end per row, as `egress_load_from`),
-/// 0 %/1 % discounted, sets left with fewer than two links removed.
-fn directed_imbalance(engine: &QueryEngine<'_>, group: &[RowView<'_>], from: &str) -> Option<f64> {
-    let mut kept = 0usize;
-    let mut min = u8::MAX;
-    let mut max = 0u8;
-    for row in group {
-        let (first_name, _, second_name, _) = original_ends(engine, row);
-        let load = if first_name == from {
-            row.first_load()
-        } else if second_name == from {
-            row.second_load()
-        } else {
-            continue;
-        };
-        if load <= 1 {
-            continue; // Disabled or control-noise loads are discounted.
-        }
-        kept += 1;
-        min = min.min(load);
-        max = max.max(load);
-    }
-    (kept >= 2).then(|| f64::from(max - min))
-}
-
-/// One [`MapCounts`] per map, read off the latest stored snapshot per
-/// map through the engine's node/row visitors.
-fn map_counts(
-    engine: &QueryEngine<'_>,
-    latest_per_map: &BTreeMap<MapKind, usize>,
-) -> BTreeMap<MapKind, MapCounts> {
-    latest_per_map
-        .iter()
-        .map(|(&map, &index)| {
-            let mut counts = MapCounts::default();
-            for id in engine.node_ids(index) {
-                if let Some(node) = engine.node_at(id) {
-                    if node.is_router() {
-                        counts.routers += 1;
-                        counts.router_names.insert(node.name.to_string());
-                    }
-                }
-            }
-            for row in engine.rows(index) {
-                match row.kind {
-                    LinkKind::Internal => counts.internal_links += 1,
-                    LinkKind::External => counts.external_links += 1,
-                }
-            }
-            (map, counts)
-        })
-        .collect()
-}
-
-impl AnalysisPass for AnalysisSuite {
-    type Output = SuiteReport;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        if self
-            .range
-            .is_some_and(|range| !range.contains(snapshot.timestamp))
-        {
-            return;
-        }
-        self.snapshots += 1;
-        self.timeframe.observe(snapshot);
-        self.evolution.observe(snapshot);
-        self.degree.observe(snapshot);
-        self.hourly.observe(snapshot);
-        self.load_cdf.observe(snapshot);
-        self.imbalance.observe(snapshot);
-        self.table.observe(snapshot);
-        self.sites.observe(snapshot);
-        self.maintenance.observe(snapshot);
-        if let Some(upgrade) = &mut self.upgrade {
-            upgrade.observe(snapshot);
-        }
+        (suite.finish(table1, degree, upgrade), stats)
     }
 
-    fn finish(self) -> SuiteReport {
+    fn finish(
+        self,
+        table1: Table1,
+        degree: Option<DegreeAnalysis>,
+        upgrade: Option<UpgradeOutcome>,
+    ) -> SuiteReport {
         SuiteReport {
             snapshots: self.snapshots,
             timeframe: self.timeframe.finish(),
             evolution: self.evolution.finish(),
-            degree: self.degree.finish(),
-            hourly: self.hourly.finish(),
-            load_cdf: self.load_cdf.finish(),
-            imbalance: self.imbalance.finish(),
-            table1: self.table.finish(),
+            degree,
+            hourly: self.hourly,
+            load_cdf: self.load_cdf,
+            imbalance: self.imbalance,
+            table1,
             sites: self.sites.finish(),
             maintenance: self.maintenance.finish(),
-            upgrade: self.upgrade.map(AnalysisPass::finish),
+            upgrade,
         }
     }
 }
@@ -553,15 +382,19 @@ impl SuiteReport {
     }
 }
 
+/// The default suite's report over a snapshot series — the unit tests'
+/// way into [`AnalysisSuite::run_store`].
+#[cfg(test)]
+pub(crate) fn report_of(snapshots: &[wm_model::TopologySnapshot]) -> SuiteReport {
+    let store = LongitudinalStore::from_snapshots(snapshots);
+    AnalysisSuite::run_store(SuiteConfig::default(), &store).0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evolution::{detect_changes, evolution_series};
-    use crate::maintenance::{disabled_fraction, maintenance_windows};
-    use crate::sites::site_growth;
-    use crate::tables::table1;
-    use crate::timeframe::{coverage_segments, GapDistribution};
-    use wm_model::{Link, LinkEnd, Load, MapKind, Node, Timestamp};
+    use crate::upgrades::CapacityRecord;
+    use wm_model::{Link, LinkEnd, Load, Node, Timestamp, TopologySnapshot};
 
     /// A small two-map series with a diurnal load swing, a disabled
     /// window and a mid-series router addition.
@@ -603,70 +436,8 @@ mod tests {
     }
 
     #[test]
-    fn suite_matches_legacy_analyses() {
-        let snapshots = corpus();
-        let config = SuiteConfig::default();
-        let report = AnalysisSuite::run(config.clone(), &snapshots);
-
-        assert_eq!(report.snapshots, snapshots.len());
-
-        let times: Vec<Timestamp> = snapshots.iter().map(|s| s.timestamp).collect();
-        assert_eq!(
-            report.timeframe.segments,
-            coverage_segments(&times, config.max_gap)
-        );
-        assert_eq!(report.timeframe.gaps, GapDistribution::new(&times));
-
-        let series = evolution_series(&snapshots);
-        assert_eq!(report.evolution.series, series);
-        assert_eq!(
-            report.evolution.router_events,
-            detect_changes(&series, |p| p.routers, config.min_router_delta)
-        );
-
-        let last = snapshots.last().unwrap();
-        assert_eq!(report.degree, Some(DegreeAnalysis::of(last)));
-
-        let mut hourly = HourlyLoads::new();
-        let mut cdf = LoadCdf::new();
-        let mut imbalance = ImbalanceCdf::new();
-        for s in &snapshots {
-            hourly.add_snapshot(s);
-            cdf.add_snapshot(s);
-            imbalance.add_snapshot(s);
-        }
-        assert_eq!(report.hourly, hourly);
-        assert_eq!(report.load_cdf, cdf);
-        assert_eq!(report.imbalance, imbalance);
-
-        // Table 1 from the last snapshot per map.
-        let last_europe = snapshots
-            .iter()
-            .rev()
-            .find(|s| s.map == MapKind::Europe)
-            .unwrap();
-        let last_world = snapshots
-            .iter()
-            .rev()
-            .find(|s| s.map == MapKind::World)
-            .unwrap();
-        assert_eq!(
-            report.table1,
-            table1(&[last_europe.clone(), last_world.clone()])
-        );
-
-        assert_eq!(report.sites, site_growth(&snapshots));
-        assert_eq!(report.maintenance.windows, maintenance_windows(&snapshots));
-        assert!(
-            (report.maintenance.disabled_fraction() - disabled_fraction(&snapshots)).abs() < 1e-12
-        );
-        assert_eq!(report.upgrade, None);
-    }
-
-    #[test]
     fn render_mentions_every_section() {
-        let report = AnalysisSuite::run(SuiteConfig::default(), corpus());
-        let text = report.render();
+        let text = report_of(&corpus()).render();
         for needle in [
             "snapshots analysed",
             "coverage",
@@ -683,6 +454,17 @@ mod tests {
     }
 
     #[test]
+    fn stats_count_the_column_work() {
+        let snapshots = corpus();
+        let store = LongitudinalStore::from_snapshots(&snapshots);
+        let (report, stats) = AnalysisSuite::run_store(SuiteConfig::default(), &store);
+        assert_eq!(report.snapshots, snapshots.len());
+        assert_eq!(stats.snapshots_scanned as usize, snapshots.len());
+        assert_eq!(stats.rows_scanned as usize, store.observations());
+        assert_eq!(stats.samples, stats.rows_scanned * 2);
+    }
+
+    #[test]
     fn range_filter_matches_prefiltered_input() {
         let snapshots = corpus();
         let range = TimeRange::new(
@@ -693,53 +475,21 @@ mod tests {
             range: Some(range),
             ..SuiteConfig::default()
         };
-        let windowed = AnalysisSuite::run(config, &snapshots);
+        let store = LongitudinalStore::from_snapshots(&snapshots);
+        let (windowed, stats) = AnalysisSuite::run_store(config, &store);
         let filtered: Vec<TopologySnapshot> = snapshots
             .iter()
             .filter(|s| range.contains(s.timestamp))
             .cloned()
             .collect();
         assert!(filtered.len() < snapshots.len() && !filtered.is_empty());
-        assert_eq!(
-            windowed,
-            AnalysisSuite::run(SuiteConfig::default(), &filtered)
-        );
-    }
-
-    #[test]
-    fn store_run_matches_snapshot_run() {
-        let snapshots = corpus();
-        let store = wm_dataset::LongitudinalStore::from_snapshots(&snapshots);
-        let config = SuiteConfig::default();
-        let legacy = AnalysisSuite::run(config.clone(), &snapshots);
-        let (report, stats) = AnalysisSuite::run_store(config, &store);
-        assert_eq!(report, legacy);
-        assert_eq!(format!("{report:?}"), format!("{legacy:?}"));
-        assert_eq!(report.render(), legacy.render());
-        assert_eq!(stats.snapshots_scanned as usize, snapshots.len());
-        assert_eq!(stats.rows_scanned as usize, store.observations());
-    }
-
-    #[test]
-    fn store_run_honours_the_range_filter() {
-        let snapshots = corpus();
-        let store = wm_dataset::LongitudinalStore::from_snapshots(&snapshots);
-        let range = TimeRange::new(
-            Timestamp::from_ymd_hms(2021, 6, 1, 4, 0, 0),
-            Timestamp::from_ymd_hms(2021, 6, 1, 16, 0, 0),
-        );
-        let config = SuiteConfig {
-            range: Some(range),
-            ..SuiteConfig::default()
-        };
-        let legacy = AnalysisSuite::run(config.clone(), &snapshots);
-        let (report, _) = AnalysisSuite::run_store(config, &store);
-        assert_eq!(report, legacy);
+        assert_eq!(stats.snapshots_scanned as usize, filtered.len());
+        assert_eq!(windowed, report_of(&filtered));
     }
 
     #[test]
     fn empty_corpus_is_well_formed() {
-        let report = AnalysisSuite::run(SuiteConfig::default(), &[] as &[TopologySnapshot]);
+        let report = report_of(&[]);
         assert_eq!(report.snapshots, 0);
         assert_eq!(report.degree, None);
         assert!(report.table1.rows.is_empty());
@@ -749,7 +499,6 @@ mod tests {
 
     #[test]
     fn upgrade_target_runs_fig6() {
-        use crate::upgrades::CapacityRecord;
         // 3 parallel r-a <-> AMS-IX links; a 4th appears and activates.
         let mut snapshots = Vec::new();
         for day in 0..8i64 {
@@ -787,7 +536,8 @@ mod tests {
             }),
             ..SuiteConfig::default()
         };
-        let report = AnalysisSuite::run(config, &snapshots);
+        let store = LongitudinalStore::from_snapshots(&snapshots);
+        let report = AnalysisSuite::run_store(config, &store).0;
         let upgrade = report.upgrade.expect("upgrade outcome");
         assert_eq!(upgrade.observations.len(), snapshots.len());
         assert_eq!(

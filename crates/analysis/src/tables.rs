@@ -2,9 +2,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wm_model::{MapKind, TopologySnapshot};
-
-use crate::suite::AnalysisPass;
+use wm_dataset::QueryEngine;
+use wm_model::{LinkKind, MapKind};
 
 /// One row of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,73 +33,43 @@ pub struct Table1 {
     pub total_external: usize,
 }
 
-/// Builds Table 1 from one snapshot per map (same capture date).
-#[must_use]
-pub fn table1(snapshots: &[TopologySnapshot]) -> Table1 {
+/// Assembles Table 1 from the latest stored snapshot of each map (the
+/// paper builds the table from one capture date, and on a mixed-map
+/// store the most recent state per map is that date), read through the
+/// engine's node and row visitors.
+pub(crate) fn table1_of(
+    engine: &QueryEngine<'_>,
+    latest_per_map: &BTreeMap<MapKind, usize>,
+) -> Table1 {
     let mut rows = Vec::new();
     let mut router_names: BTreeSet<&str> = BTreeSet::new();
     let mut total_internal = 0;
     let mut total_external = 0;
     for map in MapKind::ALL {
-        let Some(snapshot) = snapshots.iter().find(|s| s.map == map) else {
+        let Some(&index) = latest_per_map.get(&map) else {
             continue;
         };
-        rows.push(Table1Row {
+        let mut row = Table1Row {
             map,
-            routers: snapshot.router_count(),
-            internal_links: snapshot.internal_link_count(),
-            external_links: snapshot.external_link_count(),
-        });
-        total_internal += snapshot.internal_link_count();
-        total_external += snapshot.external_link_count();
-        for router in snapshot.routers() {
-            router_names.insert(router.name.as_str());
-        }
-    }
-    Table1 {
-        rows,
-        total_routers: router_names.len(),
-        total_internal,
-        total_external,
-    }
-}
-
-/// One map's counts as collected by the store-driven suite: the same
-/// facts [`table1`] reads off a snapshot, without the snapshot.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct MapCounts {
-    /// OVH routers on the map.
-    pub(crate) routers: usize,
-    /// Internal links.
-    pub(crate) internal_links: usize,
-    /// External links.
-    pub(crate) external_links: usize,
-    /// Router names, for the cross-map de-duplicated total.
-    pub(crate) router_names: BTreeSet<String>,
-}
-
-/// Assembles Table 1 from per-map counts — the column-driven feeder the
-/// store-backed suite uses; mirrors [`table1`] exactly.
-pub(crate) fn table1_from_counts(latest: &BTreeMap<MapKind, MapCounts>) -> Table1 {
-    let mut rows = Vec::new();
-    let mut router_names: BTreeSet<&str> = BTreeSet::new();
-    let mut total_internal = 0;
-    let mut total_external = 0;
-    for map in MapKind::ALL {
-        let Some(counts) = latest.get(&map) else {
-            continue;
+            routers: 0,
+            internal_links: 0,
+            external_links: 0,
         };
-        rows.push(Table1Row {
-            map,
-            routers: counts.routers,
-            internal_links: counts.internal_links,
-            external_links: counts.external_links,
-        });
-        total_internal += counts.internal_links;
-        total_external += counts.external_links;
-        for name in &counts.router_names {
-            router_names.insert(name.as_str());
+        for node in engine.node_ids(index).filter_map(|id| engine.node_at(id)) {
+            if node.is_router() {
+                row.routers += 1;
+                router_names.insert(node.name.as_str());
+            }
         }
+        for link in engine.rows(index) {
+            match link.kind {
+                LinkKind::Internal => row.internal_links += 1,
+                LinkKind::External => row.external_links += 1,
+            }
+        }
+        total_internal += row.internal_links;
+        total_external += row.external_links;
+        rows.push(row);
     }
     Table1 {
         rows,
@@ -136,31 +105,11 @@ impl Table1 {
     }
 }
 
-/// Streaming fold assembling Table 1 from the *last* snapshot observed
-/// per map — the paper builds the table from one capture date, and on a
-/// mixed-map stream the most recent state per map is that date.
-#[derive(Debug, Clone, Default)]
-pub struct TablePass {
-    latest: BTreeMap<MapKind, TopologySnapshot>,
-}
-
-impl AnalysisPass for TablePass {
-    type Output = Table1;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        self.latest.insert(snapshot.map, snapshot.clone());
-    }
-
-    fn finish(self) -> Table1 {
-        let snapshots: Vec<TopologySnapshot> = self.latest.into_values().collect();
-        table1(&snapshots)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wm_model::{Link, LinkEnd, Load, Node, Timestamp};
+    use crate::suite::report_of;
+    use wm_model::{Link, LinkEnd, Load, Node, Timestamp, TopologySnapshot};
 
     fn snapshot(
         map: MapKind,
@@ -199,7 +148,7 @@ mod tests {
             snapshot(MapKind::World, &["shared-1", "shared-2"], 3, 0),
             snapshot(MapKind::NorthAmerica, &["na-1", "shared-2"], 2, 1),
         ];
-        let table = table1(&snaps);
+        let table = report_of(&snaps).table1;
         assert_eq!(table.rows.len(), 3);
         assert_eq!(table.rows[0].map, MapKind::Europe);
         assert_eq!(table.rows[0].routers, 3);
@@ -212,7 +161,7 @@ mod tests {
     #[test]
     fn missing_maps_are_skipped() {
         let snaps = vec![snapshot(MapKind::Europe, &["eu-1"], 1, 1)];
-        let table = table1(&snaps);
+        let table = report_of(&snaps).table1;
         assert_eq!(table.rows.len(), 1);
     }
 
@@ -222,7 +171,7 @@ mod tests {
             snapshot(MapKind::Europe, &["eu-1"], 1, 1),
             snapshot(MapKind::AsiaPacific, &["ap-1"], 1, 1),
         ];
-        let rendered = table1(&snaps).render();
+        let rendered = report_of(&snaps).table1.render();
         assert!(rendered.contains("Europe"));
         assert!(rendered.contains("Asia Pacific"));
         assert!(rendered.contains("Total"));

@@ -4,10 +4,9 @@
 //! available at the five-minute resolution; Fig. 3 reports the
 //! distribution of the time distance between consecutive data files.
 
-use wm_model::{time::SNAPSHOT_INTERVAL, Duration, Timestamp, TopologySnapshot};
+use wm_model::{time::SNAPSHOT_INTERVAL, Duration, Timestamp};
 
 use crate::stats::Distribution;
-use crate::suite::AnalysisPass;
 
 /// A contiguous stretch of collected data (one Fig. 2 bar segment).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,17 +35,18 @@ impl CoverageSegment {
 /// figure visibly breaks on multi-hour discontinuities.
 #[must_use]
 pub fn coverage_segments(times: &[Timestamp], max_gap: Duration) -> Vec<CoverageSegment> {
-    let mut segments = Vec::new();
-    let mut start_idx = 0usize;
-    for i in 1..=times.len() {
-        let closes = i == times.len() || times[i] - times[i - 1] > max_gap;
-        if closes && i > start_idx {
-            segments.push(CoverageSegment {
-                start: times[start_idx],
-                end: times[i - 1],
-                snapshots: i - start_idx,
-            });
-            start_idx = i;
+    let mut segments: Vec<CoverageSegment> = Vec::new();
+    for &at in times {
+        match segments.last_mut() {
+            Some(open) if at - open.end <= max_gap => {
+                open.end = at;
+                open.snapshots += 1;
+            }
+            _ => segments.push(CoverageSegment {
+                start: at,
+                end: at,
+                snapshots: 1,
+            }),
         }
     }
     segments
@@ -64,8 +64,9 @@ impl GapDistribution {
     #[must_use]
     pub fn new(times: &[Timestamp]) -> GapDistribution {
         let distances: Vec<f64> = times
-            .windows(2)
-            .map(|w| (w[1] - w[0]).as_secs() as f64)
+            .iter()
+            .zip(times.iter().skip(1))
+            .map(|(&previous, &next)| (next - previous).as_secs() as f64)
             .collect();
         GapDistribution {
             distances: Distribution::new(distances),
@@ -116,41 +117,29 @@ pub struct TimeframeReport {
     pub gaps: GapDistribution,
 }
 
-/// Streaming fold producing a [`TimeframeReport`] — the [`AnalysisPass`]
-/// form of [`coverage_segments`] + [`GapDistribution`].
+/// Snapshot instants under collection, closed into a [`TimeframeReport`].
 #[derive(Debug, Clone)]
-pub struct TimeframePass {
+pub(crate) struct TimeframePass {
     max_gap: Duration,
     times: Vec<Timestamp>,
 }
 
 impl TimeframePass {
-    /// Creates a pass breaking segments on gaps larger than `max_gap`.
-    #[must_use]
-    pub fn new(max_gap: Duration) -> TimeframePass {
+    /// Creates a fold breaking segments on gaps larger than `max_gap`.
+    pub(crate) fn new(max_gap: Duration) -> TimeframePass {
         TimeframePass {
             max_gap,
             times: Vec::new(),
         }
     }
-}
 
-impl TimeframePass {
-    /// Records one snapshot instant — the column-driven feeder the
-    /// store-backed suite uses (the snapshot-driven pass delegates here).
+    /// Records one snapshot instant.
     pub(crate) fn observe_instant(&mut self, at: Timestamp) {
         self.times.push(at);
     }
-}
 
-impl AnalysisPass for TimeframePass {
-    type Output = TimeframeReport;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        self.observe_instant(snapshot.timestamp);
-    }
-
-    fn finish(self) -> TimeframeReport {
+    /// Builds the coverage segments and the gap distribution.
+    pub(crate) fn finish(self) -> TimeframeReport {
         TimeframeReport {
             segments: coverage_segments(&self.times, self.max_gap),
             gaps: GapDistribution::new(&self.times),

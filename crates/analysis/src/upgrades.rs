@@ -8,8 +8,6 @@
 
 use wm_model::{Timestamp, TopologySnapshot};
 
-use crate::suite::AnalysisPass;
-
 /// A dated total-capacity record for a peering LAN, as PeeringDB
 /// publishes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,9 +48,13 @@ pub fn observe_group(
     let active: Vec<f64> = group
         .link_indices
         .iter()
-        .map(|&i| &snapshot.links[i])
         .zip(&loads)
-        .filter(|(link, _)| !link.is_disabled())
+        .filter(|(&i, _)| {
+            snapshot
+                .links
+                .get(i)
+                .is_some_and(|link| !link.is_disabled())
+        })
         .map(|(_, l)| l.as_f64())
         .collect();
     let mean_active_load = if active.is_empty() {
@@ -119,8 +121,7 @@ pub fn detect_upgrade(
     // (active count returning *to* the baseline) is not mistaken for the
     // upgrade going live.
     let mut baseline_active = 0usize;
-    for pair in observations.windows(2) {
-        let (prev, cur) = (&pair[0], &pair[1]);
+    for (prev, cur) in observations.iter().zip(observations.iter().skip(1)) {
         if cur.links > prev.links && report.link_added.is_none() {
             report.link_added = Some(cur.timestamp);
             links_added = cur.links - prev.links;
@@ -178,43 +179,6 @@ pub struct UpgradeOutcome {
     pub observations: Vec<GroupObservation>,
     /// The detected milestones.
     pub report: UpgradeReport,
-}
-
-/// Streaming fold producing an [`UpgradeOutcome`] — the [`AnalysisPass`]
-/// form of [`observe_group`] + [`detect_upgrade`].
-#[derive(Debug, Clone)]
-pub struct UpgradePass {
-    target: UpgradeTarget,
-    observations: Vec<GroupObservation>,
-}
-
-impl UpgradePass {
-    /// Creates a pass monitoring `target`.
-    #[must_use]
-    pub fn new(target: UpgradeTarget) -> UpgradePass {
-        UpgradePass {
-            target,
-            observations: Vec::new(),
-        }
-    }
-}
-
-impl AnalysisPass for UpgradePass {
-    type Output = UpgradeOutcome;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        if let Some(observation) = observe_group(snapshot, &self.target.from, &self.target.to) {
-            self.observations.push(observation);
-        }
-    }
-
-    fn finish(self) -> UpgradeOutcome {
-        let report = detect_upgrade(&self.observations, &self.target.records);
-        UpgradeOutcome {
-            observations: self.observations,
-            report,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -21,7 +21,17 @@ fn main() {
         options.scale
     );
     let result = pipeline.run_window_sampled(MapKind::Europe, config.start, config.end, 2016);
-    let series = evolution_series(&result.snapshots);
+    let min_step = (5.0 * options.scale).ceil() as usize;
+    let store = LongitudinalStore::from_snapshots(&result.snapshots);
+    let (report, _) = AnalysisSuite::run_store(
+        SuiteConfig {
+            min_router_delta: 1,
+            min_link_delta: min_step,
+            ..SuiteConfig::default()
+        },
+        &store,
+    );
+    let series = &report.evolution.series;
     println!("{} weekly snapshots extracted\n", series.len());
 
     // --- Fig. 4a/4b -------------------------------------------------------
@@ -40,9 +50,9 @@ fn main() {
         );
     }
 
-    let router_events = detect_changes(&series, |p| p.routers, 1);
+    let router_events = &report.evolution.router_events;
     println!("\n(4a) router-count events:");
-    for event in &router_events {
+    for event in router_events {
         println!(
             "  {}: {} -> {} ({:+})",
             event.at,
@@ -56,7 +66,7 @@ fn main() {
         compare_row(
             "Aug-Sep 2020 make-before-break",
             "+10 then -4",
-            &summarise_window(&router_events, 2020, 8, 2020, 11)
+            &summarise_window(router_events, 2020, 8, 2020, 11)
         )
     );
     println!(
@@ -64,14 +74,13 @@ fn main() {
         compare_row(
             "June 2021 removals",
             "-4",
-            &summarise_window(&router_events, 2021, 6, 2021, 7)
+            &summarise_window(router_events, 2021, 6, 2021, 7)
         )
     );
 
-    let min_step = (5.0 * options.scale).ceil() as usize;
-    let steps = detect_changes(&series, |p| p.internal_links, min_step);
+    let steps = &report.evolution.internal_link_events;
     println!("\n(4b) internal-link steps (>= {min_step} at once):");
-    for event in &steps {
+    for event in steps {
         println!("  {}: {:+}", event.at, event.delta());
     }
     println!(
@@ -79,7 +88,7 @@ fn main() {
         compare_row(
             "November 2021 internal step",
             &format!("+{} (scaled +40)", (40.0 * options.scale).round()),
-            &summarise_window(&steps, 2021, 11, 2021, 12)
+            &summarise_window(steps, 2021, 11, 2021, 12)
         )
     );
     let (first, last) = (series.first().expect("data"), series.last().expect("data"));

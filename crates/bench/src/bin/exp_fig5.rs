@@ -20,14 +20,9 @@ fn main() {
     let result = pipeline.run_window_sampled(MapKind::Europe, from, to, 12);
     println!("{} snapshots extracted\n", result.snapshots.len());
 
-    let mut hourly = HourlyLoads::new();
-    let mut cdf = LoadCdf::new();
-    let mut imbalance = ImbalanceCdf::new();
-    for snapshot in &result.snapshots {
-        hourly.add_snapshot(snapshot);
-        cdf.add_snapshot(snapshot);
-        imbalance.add_snapshot(snapshot);
-    }
+    let store = LongitudinalStore::from_snapshots(&result.snapshots);
+    let (report, _) = AnalysisSuite::run_store(SuiteConfig::default(), &store);
+    let (hourly, cdf, imbalance) = (&report.hourly, &report.load_cdf, &report.imbalance);
 
     // --- Fig. 5a ------------------------------------------------------------
     println!("(5a) load percentiles by hour of day:");

@@ -171,8 +171,8 @@ fn main() {
         assert_eq!(full_stats.cache.hits, 1);
         let (reference, _) = build_longitudinal(&store, MAP, threads).expect("reference");
         assert_eq!(full, reference, "{days}d: windowed ≠ uncached");
-        let report = AnalysisSuite::run(SuiteConfig::default(), full.snapshots());
-        let reference_report = AnalysisSuite::run(SuiteConfig::default(), reference.snapshots());
+        let report = AnalysisSuite::run_store(SuiteConfig::default(), &full).0;
+        let reference_report = AnalysisSuite::run_store(SuiteConfig::default(), &reference).0;
         assert_eq!(report, reference_report, "{days}d: reports differ");
         let total_segments = full_stats.cache.segments_touched as usize;
 

@@ -18,7 +18,10 @@ fn main() {
             .unwrap_or_else(|e| panic!("{map} extraction failed: {e}"));
         snapshots.push(snapshot);
     }
-    let table = table1(&snapshots);
+    let store = LongitudinalStore::from_snapshots(&snapshots);
+    let table = AnalysisSuite::run_store(SuiteConfig::default(), &store)
+        .0
+        .table1;
     println!("{}", table.render());
 
     let paper = [

@@ -60,10 +60,9 @@ pub use wm_yaml as yaml;
 pub mod prelude {
     pub use crate::{summarize, CorpusSummary, Pipeline, PipelineReport, WindowResult};
     pub use wm_analysis::{
-        coverage_segments, detect_changes, detect_upgrade, evolution_series, group_imbalances,
-        observe_group, table1, AnalysisPass, AnalysisSuite, CapacityRecord, DegreeAnalysis,
-        Distribution, GapDistribution, HourlyLoads, ImbalanceCdf, LoadCdf, SuiteConfig,
-        SuiteReport, WhiskerSummary,
+        coverage_segments, detect_changes, detect_upgrade, observe_group, AnalysisSuite,
+        CapacityRecord, DegreeAnalysis, Distribution, GapDistribution, HourlyLoads, ImbalanceCdf,
+        LoadCdf, SuiteConfig, SuiteReport, WhiskerSummary,
     };
     pub use wm_dataset::{
         build_longitudinal, build_longitudinal_cached, build_longitudinal_windowed,

@@ -7,6 +7,7 @@
 use std::fmt;
 
 use wm_analysis::{AnalysisSuite, EvolutionPoint, SuiteConfig, SuiteReport};
+use wm_dataset::LongitudinalStore;
 use wm_model::TopologySnapshot;
 
 /// Headline analysis results over one time-ordered snapshot series.
@@ -34,7 +35,8 @@ pub struct CorpusSummary {
 /// headline projection.
 #[must_use]
 pub fn summarize(snapshots: &[TopologySnapshot]) -> CorpusSummary {
-    CorpusSummary::from_report(&AnalysisSuite::run(SuiteConfig::default(), snapshots))
+    let store = LongitudinalStore::from_snapshots(snapshots);
+    CorpusSummary::from_report(&AnalysisSuite::run_store(SuiteConfig::default(), &store).0)
 }
 
 impl CorpusSummary {

@@ -44,7 +44,8 @@ fn main() {
 
     // Configure the suite with the Fig. 6 target: the upgrade forensics
     // then run in the same scan as every other §5 analysis.
-    let suite_report = AnalysisSuite::run(
+    let store = LongitudinalStore::from_snapshots(&result.snapshots);
+    let (suite_report, _) = AnalysisSuite::run_store(
         SuiteConfig {
             upgrade: Some(ovh_weather::analysis::UpgradeTarget {
                 from: scenario.router.clone(),
@@ -53,7 +54,7 @@ fn main() {
             }),
             ..SuiteConfig::default()
         },
-        &result.snapshots,
+        &store,
     );
     let upgrade = suite_report.upgrade.expect("upgrade target configured");
     let observations = &upgrade.observations;

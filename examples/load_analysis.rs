@@ -19,7 +19,8 @@ fn main() {
     println!("  {} snapshots extracted\n", result.snapshots.len());
 
     // One suite scan fills all three Fig. 5 collectors at once.
-    let report = AnalysisSuite::run(SuiteConfig::default(), &result.snapshots);
+    let store = LongitudinalStore::from_snapshots(&result.snapshots);
+    let (report, _) = AnalysisSuite::run_store(SuiteConfig::default(), &store);
     let (hourly, cdf, imbalance) = (&report.hourly, &report.load_cdf, &report.imbalance);
 
     // --- Fig. 5a: loads by hour of day --------------------------------------

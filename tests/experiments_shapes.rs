@@ -25,7 +25,10 @@ fn table1_matches_paper_counts_at_full_scale() {
         .iter()
         .map(|map| p.simulation().snapshot(*map, reference).truth)
         .collect();
-    let table = table1(&snapshots);
+    let store = LongitudinalStore::from_snapshots(&snapshots);
+    let table = AnalysisSuite::run_store(SuiteConfig::default(), &store)
+        .0
+        .table1;
 
     let expected = [
         (MapKind::Europe, 113, 744, 265),
@@ -236,14 +239,9 @@ fn fig5_load_shapes_through_extraction() {
     );
     assert!(result.snapshots.len() > 30);
 
-    let mut hourly = HourlyLoads::new();
-    let mut cdf = LoadCdf::new();
-    let mut imbalance = ImbalanceCdf::new();
-    for s in &result.snapshots {
-        hourly.add_snapshot(s);
-        cdf.add_snapshot(s);
-        imbalance.add_snapshot(s);
-    }
+    let store = LongitudinalStore::from_snapshots(&result.snapshots);
+    let (report, _) = AnalysisSuite::run_store(SuiteConfig::default(), &store);
+    let (hourly, cdf, imbalance) = (&report.hourly, &report.load_cdf, &report.imbalance);
 
     // Fig. 5a: trough 02-04h, peak 19-21h.
     let (trough, peak) = hourly.extreme_hours().expect("data");

@@ -1,12 +1,17 @@
-//! Property tests for the vectorized query engine: every kernel must
-//! agree exactly — field for field — with a naive reference computed
-//! from per-snapshot reconstructions, on arbitrary fault-injected
-//! histories (absent links, disabled samples, reversed listings, empty
-//! and partial ranges, `k` larger than the link count), at more than
-//! one thread count.
+//! Property tests for the vectorized query engine and the §5 suite built
+//! on it: every kernel, and every suite artifact, must agree exactly —
+//! field for field — with a naive reference computed from per-snapshot
+//! reconstructions, on arbitrary fault-injected histories (absent links,
+//! disabled samples, reversed listings, `#n` parallels, empty and
+//! partial ranges, `k` larger than the link count), at more than one
+//! thread count.
+
+mod common;
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use common::reference_suite;
+use ovh_weather::analysis::UpgradeTarget;
 use ovh_weather::prelude::*;
 use proptest::prelude::*;
 
@@ -67,9 +72,7 @@ fn candidates(routers: &[String], peerings: &[String], parallels: usize) -> Vec<
 /// `0 %` (disabled), and every 3rd present link is listed in reversed
 /// orientation.
 fn history(seed: u64, snapshots: usize, routers: usize, parallels: usize) -> Vec<TopologySnapshot> {
-    let routers: Vec<String> = (0..routers)
-        .map(|i| format!("{}-r{i}", SITES[i % SITES.len()]))
-        .collect();
+    let routers: Vec<String> = (0..routers).map(router_name).collect();
     let peerings = vec!["ARELION".to_owned(), "GOOGLE".to_owned()];
     let cands = candidates(&routers, &peerings, parallels);
     let node = |name: &str| {
@@ -115,6 +118,48 @@ fn history(seed: u64, snapshots: usize, routers: usize, parallels: usize) -> Vec
             s
         })
         .collect()
+}
+
+/// The name of generated router `i`, prefixed by its site.
+fn router_name(i: usize) -> String {
+    format!("{}-r{i}", SITES[i % SITES.len()])
+}
+
+/// Adds a self-loop `r #1 <-> r #2` on the first router of every
+/// snapshot, listed in either orientation and sometimes disabled: the
+/// one shape where a link's identity (its labels, in listed order when
+/// both ends share a name) depends on how the map listed it.
+fn with_self_loops(seed: u64, mut all: Vec<TopologySnapshot>) -> Vec<TopologySnapshot> {
+    let name = router_name(0);
+    for (t, s) in all.iter_mut().enumerate() {
+        let m = mix(seed, t as u64, u64::MAX);
+        let load = if m.is_multiple_of(3) { 0 } else { 20 };
+        let end = |label: &str| {
+            LinkEnd::new(
+                Node::router(name.clone()),
+                Some(label.to_owned()),
+                Load::new(load).unwrap(),
+            )
+        };
+        if m.is_multiple_of(2) {
+            s.links.push(Link::new(end("#2"), end("#1")));
+        } else {
+            s.links.push(Link::new(end("#1"), end("#2")));
+        }
+    }
+    all
+}
+
+/// The suite over a store built from `all` must equal the naive
+/// reference over `all`: whole report, debug form and rendered text.
+fn assert_suite_matches_reference(config: &SuiteConfig, all: &[TopologySnapshot]) {
+    let store = LongitudinalStore::from_snapshots(all);
+    let (report, stats) = AnalysisSuite::run_store(config.clone(), &store);
+    let expected = reference_suite(config, all);
+    assert_eq!(report, expected, "{config:?}");
+    assert_eq!(format!("{report:?}"), format!("{expected:?}"));
+    assert_eq!(report.render(), expected.render());
+    assert_eq!(stats.snapshots_scanned as usize, expected.snapshots);
 }
 
 /// Mirrors the store's canonical link orientation: ends ordered by
@@ -456,4 +501,104 @@ proptest! {
             );
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any fault-injected history, range (or none), coverage gap,
+    /// change-detection thresholds and Fig. 6 target: the column-driven
+    /// suite must equal the naive per-snapshot reference exactly.
+    #[test]
+    fn suite_matches_the_naive_reference(
+        seed in 0u64..1_000,
+        snapshots in 0usize..10,
+        routers in 2usize..6,
+        parallels in 1usize..4,
+        ranged in 0usize..3,
+        from_slot in 0i64..12,
+        span in 0i64..12,
+        gap_slots in 0i64..3,
+        min_delta in 1usize..4,
+        target in 0usize..64,
+    ) {
+        let all = with_self_loops(seed, history(seed, snapshots, routers, parallels));
+        // `ranged == 0` analyses everything; `span == 0` selects nothing.
+        let from = base() + Duration::from_minutes(30 * from_slot);
+        let range = (ranged > 0)
+            .then(|| TimeRange::new(from, from + Duration::from_minutes(30 * span)));
+        // A monitored group between two generated routers (parallel
+        // `#n` links) or a router and a peering.
+        let first = target % routers;
+        let to = if target % 2 == 0 {
+            router_name((first + 1) % routers)
+        } else {
+            "ARELION".to_owned()
+        };
+        let config = SuiteConfig {
+            max_gap: Duration::from_minutes(20 + 30 * gap_slots),
+            min_router_delta: min_delta,
+            min_link_delta: min_delta,
+            upgrade: Some(UpgradeTarget {
+                from: router_name(first),
+                to,
+                records: vec![
+                    CapacityRecord { at: base(), total_capacity_gbps: 400 },
+                    CapacityRecord {
+                        at: base() + Duration::from_hours(2),
+                        total_capacity_gbps: 500,
+                    },
+                ],
+            }),
+            range,
+        };
+        assert_suite_matches_reference(&config, &all);
+        assert_suite_matches_reference(&SuiteConfig::default(), &all);
+    }
+}
+
+/// A fixed two-map series the generator does not produce: a diurnal
+/// load swing, a disabled window on one of two parallel links, a router
+/// added mid-series and a lone World snapshot so Table 1 has two rows.
+#[test]
+fn suite_matches_the_naive_reference_on_a_two_map_series() {
+    let mut all = Vec::new();
+    for i in 0..12i64 {
+        let t = Timestamp::from_ymd_hms(2021, 6, 1, (2 * i) as u8, 0, 0);
+        let mut s = TopologySnapshot::new(MapKind::Europe, t);
+        s.nodes.push(Node::router("rbx-g1-nc5"));
+        s.nodes.push(Node::router("fra-fr5-sbb1"));
+        s.nodes.push(Node::peering("ARELION"));
+        if i >= 6 {
+            s.nodes.push(Node::router("waw-1-n6"));
+        }
+        let load = |v: u8| Load::new(v).unwrap();
+        let wave = (10 + 3 * (i % 4)) as u8;
+        for label in ["#1", "#2"] {
+            let disabled = label == "#2" && (4..7).contains(&i);
+            let (la, lb) = if disabled { (0, 0) } else { (wave, wave / 2) };
+            s.links.push(Link::new(
+                LinkEnd::new(Node::router("rbx-g1-nc5"), Some(label.into()), load(la)),
+                LinkEnd::new(Node::router("fra-fr5-sbb1"), Some(label.into()), load(lb)),
+            ));
+        }
+        s.links.push(Link::new(
+            LinkEnd::new(Node::router("rbx-g1-nc5"), None, load(wave / 3)),
+            LinkEnd::new(Node::peering("ARELION"), None, load(2)),
+        ));
+        all.push(s);
+    }
+    let mut world = TopologySnapshot::new(
+        MapKind::World,
+        Timestamp::from_ymd_hms(2021, 6, 1, 23, 0, 0),
+    );
+    world.nodes.push(Node::router("sin-1-a9"));
+    all.push(world);
+
+    let config = SuiteConfig::default();
+    let report = reference_suite(&config, &all);
+    assert_eq!(report.table1.rows.len(), 2);
+    assert_eq!(report.maintenance.windows.len(), 1);
+    assert_eq!(report.evolution.router_events.len(), 2);
+    assert_suite_matches_reference(&config, &all);
 }

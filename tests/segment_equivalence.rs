@@ -212,15 +212,15 @@ fn windowed_load_equals_restricted_fresh_build() {
 
                 // The reports agree, and the suite's own range filter
                 // over the *full* store agrees with both.
-                let report = AnalysisSuite::run(SuiteConfig::default(), loaded.snapshots());
+                let report = AnalysisSuite::run_store(SuiteConfig::default(), &loaded).0;
                 let reference_report =
-                    AnalysisSuite::run(SuiteConfig::default(), reference.snapshots());
+                    AnalysisSuite::run_store(SuiteConfig::default(), &reference).0;
                 assert_eq!(report, reference_report, "{map}/{what}: report");
                 let config = SuiteConfig {
                     range: Some(range),
                     ..SuiteConfig::default()
                 };
-                let filtered_report = AnalysisSuite::run(config, full.snapshots());
+                let filtered_report = AnalysisSuite::run_store(config, &full).0;
                 assert_eq!(report, filtered_report, "{map}/{what}: suite range filter");
             }
         }
@@ -357,7 +357,7 @@ fn warm_cached_load_equals_fresh_build_at_any_thread_count() {
 
     for &map in &maps {
         let (fresh, fresh_stats) = build_longitudinal(&store, map, 4).expect("fresh build");
-        let fresh_report = AnalysisSuite::run(SuiteConfig::default(), fresh.snapshots());
+        let fresh_report = AnalysisSuite::run_store(SuiteConfig::default(), &fresh).0;
 
         for threads in THREADS {
             store.remove_segments(map).expect("reset segments");
@@ -389,7 +389,7 @@ fn warm_cached_load_equals_fresh_build_at_any_thread_count() {
 
             // The report matches field by field (derived PartialEq) and
             // byte for byte (debug form).
-            let report = AnalysisSuite::run(SuiteConfig::default(), warm.snapshots());
+            let report = AnalysisSuite::run_store(SuiteConfig::default(), &warm).0;
             assert_eq!(report, fresh_report, "{map}, {threads} threads: report");
             assert_eq!(format!("{report:?}"), format!("{fresh_report:?}"));
         }
@@ -449,8 +449,8 @@ fn cached_load_after_growth_equals_full_rebuild() {
                 assert_eq!(grown_stats.cache.hits, 1, "{map}: later pass hits");
             }
 
-            let report = AnalysisSuite::run(SuiteConfig::default(), grown.snapshots());
-            let full_report = AnalysisSuite::run(SuiteConfig::default(), full.snapshots());
+            let report = AnalysisSuite::run_store(SuiteConfig::default(), &grown).0;
+            let full_report = AnalysisSuite::run_store(SuiteConfig::default(), &full).0;
             assert_eq!(report, full_report, "{map}, {threads} threads: report");
         }
     }
