@@ -838,12 +838,8 @@ fn json_escape(text: &str) -> String {
     out
 }
 
-/// The deterministic kernel-counter line of `--metrics`, routed through
-/// the shared [`MetricsTotals`] projection like every other counter.
-fn kernel_metrics_line(stats: &KernelStats) -> String {
-    let mut metrics = BatchMetrics::default();
-    metrics.query.merge(stats);
-    let q = metrics.totals().query;
+/// The deterministic kernel-counter line of `--metrics`.
+fn kernel_metrics_line(q: &KernelStats) -> String {
     format!(
         "queries: {} run, {} kernel passes; {} snapshots, {} rows, {} samples scanned",
         q.queries, q.kernels, q.snapshots_scanned, q.rows_scanned, q.samples

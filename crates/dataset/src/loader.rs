@@ -3,18 +3,17 @@
 //!
 //! Before this module every consumer of a corpus — the CLI's analyses,
 //! each example — walked the tree and parsed YAML with its own loop.
-//! This is the one canonical path. Workers claim files from a shared
-//! cursor (same work-stealing shape as the extraction batch runner) and
-//! fold parsed snapshots into per-worker [`SnapshotSink`]s; the merge is
-//! keyed on file order, so results are byte-identical for any thread
-//! count. Files that fail to parse are counted and skipped, like the
-//! paper's scripts leaving a handful of unprocessed files per map; I/O
-//! errors abort the load.
+//! This is the one canonical path. Workers claim files through the
+//! runner batch extraction uses ([`try_fold_claimed`]) and fold parsed
+//! snapshots into per-worker [`SnapshotSink`]s; the merge is keyed on
+//! file order, so results are byte-identical for any thread count.
+//! Files that fail to parse are counted and skipped, like the paper's
+//! scripts leaving a handful of unprocessed files per map; I/O errors
+//! abort the load.
 
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use wm_extract::{from_yaml_str, CacheStats, SnapshotSink};
+use wm_extract::{from_yaml_str, sorted_snapshots, try_fold_claimed, CacheStats, SnapshotSink};
 use wm_model::{MapKind, Timestamp, TopologySnapshot};
 
 use crate::codec::{self, CorpusFingerprint, FingerprintEntry};
@@ -155,15 +154,8 @@ pub(crate) fn load_sorted(
     threads: usize,
     hash: bool,
 ) -> io::Result<(Vec<TopologySnapshot>, CorpusLoadStats, Vec<u64>)> {
-    let (sinks, stats, hashes) =
-        load_fold_entries::<Vec<(usize, TopologySnapshot)>>(store, map, entries, threads, hash)?;
-    let mut results: Vec<(usize, TopologySnapshot)> = sinks.into_iter().flatten().collect();
-    results.sort_by_key(|(index, snapshot)| (snapshot.timestamp, *index));
-    Ok((
-        results.into_iter().map(|(_, snapshot)| snapshot).collect(),
-        stats,
-        hashes,
-    ))
+    let (sinks, stats, hashes) = load_fold_entries(store, map, entries, threads, hash)?;
+    Ok((sorted_snapshots(sinks), stats, hashes))
 }
 
 /// Hashes every entry's contents in parallel without parsing anything —
@@ -178,55 +170,44 @@ pub(crate) fn hash_entries(
 ) -> io::Result<Vec<u64>> {
     const LANES: usize = 4;
     let batches = entries.len().div_ceil(LANES);
-    let threads = threads.max(1).min(batches.max(1));
-    let cursor = AtomicUsize::new(0);
-    let (cursor, entries) = (&cursor, entries);
-    let hash_batch = move |batch: usize| -> io::Result<Vec<u64>> {
-        let start = batch.saturating_mul(LANES);
-        let chunk = entries
-            .get(start..start.saturating_add(LANES).min(entries.len()))
-            .unwrap_or(&[]);
-        let files = chunk
-            .iter()
-            .map(|entry| store.read(map, FileKind::Yaml, entry.timestamp))
-            .collect::<io::Result<Vec<Vec<u8>>>>()?;
-        Ok(match files.as_slice() {
-            [a, b, c, d] => codec::fnv1a_x4([a, b, c, d]).to_vec(),
-            short => short.iter().map(|bytes| codec::fnv1a(bytes)).collect(),
-        })
-    };
-    let outcomes: Vec<io::Result<Vec<(usize, u64)>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut hashed = Vec::new();
-                    loop {
-                        let batch = cursor.fetch_add(1, Ordering::Relaxed);
-                        if batch >= batches {
-                            break;
-                        }
-                        let first = batch.saturating_mul(LANES);
-                        hashed.extend((first..).zip(hash_batch(batch)?));
-                    }
-                    Ok(hashed)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("corpus hasher worker panicked"))
-            .collect()
-    });
-    let mut hashes = vec![0u64; entries.len()];
-    for outcome in outcomes {
-        for (index, hash) in outcome? {
-            if let Some(slot) = hashes.get_mut(index) {
-                *slot = hash;
-            }
+    let hashed = try_fold_claimed(
+        batches,
+        threads,
+        |hashed: &mut Vec<(usize, u64)>, batch| -> io::Result<()> {
+            let first = batch.saturating_mul(LANES);
+            let chunk = entries
+                .get(first..first.saturating_add(LANES).min(entries.len()))
+                .unwrap_or(&[]);
+            let files = chunk
+                .iter()
+                .map(|entry| store.read(map, FileKind::Yaml, entry.timestamp))
+                .collect::<io::Result<Vec<Vec<u8>>>>()?;
+            let hashes = match files.as_slice() {
+                [a, b, c, d] => codec::fnv1a_x4([a, b, c, d]).to_vec(),
+                short => short.iter().map(|bytes| codec::fnv1a(bytes)).collect(),
+            };
+            hashed.extend((first..).zip(hashes));
+            Ok(())
+        },
+    )?;
+    Ok(in_entry_order(entries.len(), hashed.into_iter().flatten()))
+}
+
+/// Places `(entry index, hash)` pairs claimed by any worker at their
+/// entry's position.
+fn in_entry_order(len: usize, hashed: impl Iterator<Item = (usize, u64)>) -> Vec<u64> {
+    let mut hashes = vec![0u64; len];
+    for (index, hash) in hashed {
+        if let Some(slot) = hashes.get_mut(index) {
+            *slot = hash;
         }
     }
-    Ok(hashes)
+    hashes
 }
+
+/// One loader worker's share: its sink, counters and `(entry index,
+/// hash)` pairs.
+type LoadState<S> = (S, CorpusLoadStats, Vec<(usize, u64)>);
 
 /// The loader core: reads and parses the given YAML entries of `map`,
 /// folding snapshots into one [`SnapshotSink`] per worker (returned in
@@ -241,83 +222,33 @@ pub(crate) fn load_fold_entries<S: SnapshotSink>(
     threads: usize,
     hash: bool,
 ) -> io::Result<(Vec<S>, CorpusLoadStats, Vec<u64>)> {
-    let threads = threads.max(1).min(entries.len().max(1));
-
-    if threads == 1 {
-        // Serial fast path, same code per file.
-        let mut sink = S::default();
-        let mut stats = CorpusLoadStats::default();
-        let mut hashes = Vec::new();
-        for (index, entry) in entries.iter().enumerate() {
-            let h = read_one(
-                store,
-                map,
-                entry.timestamp,
-                index,
-                &mut sink,
-                &mut stats,
-                hash,
-            )?;
+    let states = try_fold_claimed(
+        entries.len(),
+        threads,
+        |(sink, stats, hashes): &mut LoadState<S>, index| -> io::Result<()> {
+            let Some(entry) = entries.get(index) else {
+                return Ok(());
+            };
+            let h = read_one(store, map, entry.timestamp, index, sink, stats, hash)?;
             if hash {
-                hashes.push(h);
+                hashes.push((index, h));
             }
-        }
-        return Ok((vec![sink], stats, hashes));
-    }
-
-    type WorkerOut<S> = (S, CorpusLoadStats, Vec<(usize, u64)>);
-    let cursor = AtomicUsize::new(0);
-    let (cursor, entries) = (&cursor, entries);
-    let outcomes: Vec<io::Result<WorkerOut<S>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut sink = S::default();
-                    let mut stats = CorpusLoadStats::default();
-                    let mut hashes = Vec::new();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(entry) = entries.get(index) else {
-                            break;
-                        };
-                        let h = read_one(
-                            store,
-                            map,
-                            entry.timestamp,
-                            index,
-                            &mut sink,
-                            &mut stats,
-                            hash,
-                        )?;
-                        if hash {
-                            hashes.push((index, h));
-                        }
-                    }
-                    Ok((sink, stats, hashes))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("corpus loader worker panicked"))
-            .collect()
-    });
-
-    let mut sinks = Vec::with_capacity(threads);
+            Ok(())
+        },
+    )?;
+    let mut sinks = Vec::with_capacity(states.len());
     let mut stats = CorpusLoadStats::default();
-    let mut hashes = if hash {
-        vec![0u64; entries.len()]
+    let mut hashed = Vec::new();
+    for (sink, worker_stats, worker_hashes) in states {
+        sinks.push(sink);
+        stats.merge(worker_stats);
+        hashed.extend(worker_hashes);
+    }
+    let hashes = if hash {
+        in_entry_order(entries.len(), hashed.into_iter())
     } else {
         Vec::new()
     };
-    for outcome in outcomes {
-        let (sink, worker_stats, worker_hashes) = outcome?;
-        sinks.push(sink);
-        stats.merge(worker_stats);
-        for (index, h) in worker_hashes {
-            hashes[index] = h;
-        }
-    }
     Ok((sinks, stats, hashes))
 }
 

@@ -28,16 +28,12 @@
 //! [`ColumnarBuilder`]s (a [`SnapshotSink`]) and merging them at join.
 //! The merge sorts the symbol tables and orders rows by `(timestamp,
 //! input index)`, so the result is byte-identical for any worker count
-//! and either scheduling policy — the same contract as the extraction
-//! batch runner.
+//! — the same contract as batch extraction.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-use wm_extract::{
-    extract_batch_sink, BatchInput, BatchMetrics, BatchStats, ExtractConfig, Scheduling,
-    SnapshotSink,
-};
+use wm_extract::SnapshotSink;
 use wm_model::{
     Link, LinkEnd, LinkKind, Load, MapKind, Node, NodeKind, SnapshotDiff, TimeRange, Timestamp,
     TopologySnapshot,
@@ -909,27 +905,6 @@ impl LongitudinalStore {
             + (self.series_offsets.len() + self.series_rows.len()) * size_of::<u32>()
             + self.events.len() * size_of::<TopologyEvent>()
     }
-}
-
-/// Extracts a batch of SVG files straight into a [`LongitudinalStore`]
-/// in one streaming pass — snapshots flow from the extraction workers
-/// into per-worker [`ColumnarBuilder`]s without ever materialising a
-/// `Vec<TopologySnapshot>`.
-///
-/// Determinism: inherits the batch runner's contract, so the store (and
-/// the stats' counters) are byte-identical for any `threads` value and
-/// either scheduling policy.
-#[must_use]
-pub fn extract_longitudinal(
-    inputs: &[BatchInput],
-    map: MapKind,
-    config: &ExtractConfig,
-    threads: usize,
-    scheduling: Scheduling,
-) -> (LongitudinalStore, BatchStats, BatchMetrics) {
-    let (builders, stats, metrics) =
-        extract_batch_sink::<ColumnarBuilder>(inputs, map, config, threads, scheduling);
-    (ColumnarBuilder::finish(builders), stats, metrics)
 }
 
 #[cfg(test)]

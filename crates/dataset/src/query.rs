@@ -25,9 +25,8 @@
 use std::collections::BTreeSet;
 use std::io;
 use std::ops::Range;
-use std::thread;
 
-use wm_extract::KernelStats;
+use wm_extract::{fold_claimed, KernelStats};
 use wm_model::query::{
     HeatmapCell, HeatmapGrid, HotLink, LinkFilter, Query, QueryOp, QueryOutput, QueryResult,
     ScanStats, SiteLoad, WindowStats,
@@ -164,8 +163,8 @@ fn selected(mask: &[bool], def: u32) -> bool {
 }
 
 /// Splits `snapshots` into at most `threads` contiguous chunks and maps
-/// `work` over them, returning results in chunk order. Single chunk
-/// runs inline; otherwise scoped threads run one chunk each.
+/// `work` over them on the shared runner, returning results in chunk
+/// order whichever worker ran each chunk.
 fn run_chunks<T, F>(snapshots: Range<usize>, threads: usize, work: F) -> Vec<T>
 where
     T: Send,
@@ -176,9 +175,6 @@ where
         return Vec::new();
     }
     let workers = threads.max(1).min(len);
-    if workers == 1 {
-        return vec![work(snapshots)];
-    }
     let step = len.div_ceil(workers);
     let ranges: Vec<Range<usize>> = (0..workers)
         .map(|w| {
@@ -188,20 +184,14 @@ where
         })
         .filter(|r| !r.is_empty())
         .collect();
-    thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| scope.spawn(move || work(range)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| match handle.join() {
-                Ok(value) => value,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
+    let done = fold_claimed(ranges.len(), ranges.len(), |parts: &mut Vec<_>, chunk| {
+        if let Some(range) = ranges.get(chunk) {
+            parts.push((chunk, work(range.clone())));
+        }
+    });
+    let mut parts: Vec<(usize, T)> = done.into_iter().flatten().collect();
+    parts.sort_unstable_by_key(|(chunk, _)| *chunk);
+    parts.into_iter().map(|(_, part)| part).collect()
 }
 
 /// Per-link integer aggregate (top-k kernel scratch).
@@ -919,6 +909,23 @@ pub fn query_windowed(
 mod tests {
     use super::*;
     use wm_model::{Link, LinkEnd, Load, TopologySnapshot};
+
+    #[test]
+    fn chunks_are_contiguous_and_come_back_in_chunk_order() {
+        // Earlier chunks run longest, so workers finish in reverse.
+        let chunks = |threads| {
+            run_chunks(3..20, threads, |range: Range<usize>| {
+                std::thread::sleep(std::time::Duration::from_millis(20 - range.start as u64));
+                range
+            })
+        };
+        assert_eq!(chunks(1), vec![3..20]);
+        assert_eq!(chunks(4), vec![3..8, 8..13, 13..18, 18..20]);
+        // 17 snapshots over 8 workers: chunks of 3, the last two empty.
+        assert_eq!(chunks(8), vec![3..6, 6..9, 9..12, 12..15, 15..18, 18..20]);
+        assert_eq!(chunks(40), (3..20).map(|i| i..i + 1).collect::<Vec<_>>());
+        assert!(run_chunks(5..5, 4, |range| range).is_empty());
+    }
 
     fn load(p: u8) -> Load {
         Load::new(p).unwrap()

@@ -17,11 +17,13 @@
 //! * [`snapshot_yaml`] — the YAML output schema and its lossless parser.
 //! * [`mod@validate`] — a standalone snapshot validator for corpus audits
 //!   (§6's "researchers could further validate the extracted data").
-//! * [`pipeline`] — the end-to-end entry point and a work-stealing
-//!   parallel batch runner whose statistics reproduce Table 2's
+//! * [`pipeline`] — the end-to-end entry point and the parallel batch
+//!   extraction whose statistics reproduce Table 2's
 //!   processed/unprocessed bookkeeping.
+//! * [`runner`] — the one shared-cursor worker pool behind batch
+//!   extraction and every parallel corpus pass downstream of it.
 //! * [`metrics`] — per-stage wall-time histograms and throughput
-//!   counters recorded lock-free by the batch runner's workers.
+//!   counters recorded lock-free by the batch workers.
 //!
 //! The extractor is deliberately *blind*: it consumes only SVG bytes and
 //! shares no code with the simulator's renderer. Integration tests render
@@ -36,6 +38,7 @@ pub mod algorithm2;
 pub mod error;
 pub mod metrics;
 pub mod pipeline;
+pub mod runner;
 pub mod snapshot_yaml;
 pub mod validate;
 
@@ -46,9 +49,10 @@ pub use metrics::{
     BatchMetrics, BroadPhaseStats, CacheStats, Histogram, KernelStats, MetricsTotals, Stage,
 };
 pub use pipeline::{
-    extract_batch, extract_batch_sink, extract_batch_with, extract_svg, extract_svg_instrumented,
-    extract_svg_with, BatchInput, BatchStats, ExtractScratch, Scheduling, SnapshotSink,
+    extract_batch, extract_batch_with, extract_svg, extract_svg_with, sorted_snapshots, BatchInput,
+    BatchStats, ExtractScratch, Scheduling, SnapshotSink,
 };
+pub use runner::{fold_claimed, try_fold_claimed};
 pub use snapshot_yaml::{
     from_yaml_str, snapshot_from_yaml, snapshot_to_yaml, to_yaml_string, SchemaError, SCHEMA_ID,
 };

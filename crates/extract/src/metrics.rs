@@ -80,17 +80,20 @@ pub struct Histogram {
 
 impl Default for Histogram {
     fn default() -> Histogram {
-        Histogram {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            total_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        }
+        Histogram::EMPTY
     }
 }
 
 impl Histogram {
+    /// The histogram with no samples.
+    const EMPTY: Histogram = Histogram {
+        buckets: [0; HISTOGRAM_BUCKETS],
+        count: 0,
+        total_ns: 0,
+        min_ns: u64::MAX,
+        max_ns: 0,
+    };
+
     /// Records one duration.
     pub fn record(&mut self, duration: Duration) {
         let ns = u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX);
@@ -99,7 +102,9 @@ impl Histogram {
         } else {
             ((63 - ns.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
         };
-        self.buckets[bucket] += 1;
+        if let Some(slot) = self.buckets.get_mut(bucket) {
+            *slot += 1;
+        }
         self.count += 1;
         self.total_ns = self.total_ns.saturating_add(ns);
         self.min_ns = self.min_ns.min(ns);
@@ -237,10 +242,9 @@ impl BroadPhaseStats {
 
 /// Counters of the segment store behind every cached load.
 ///
-/// All fields are exact event counts, independent of timing, worker
-/// count and scheduling — like [`BroadPhaseStats`] they ride inside
-/// [`MetricsTotals`] and must be identical across equivalent runs. A
-/// plain `analyze` without caching leaves them all zero.
+/// All fields are exact event counts, independent of timing and worker
+/// count, and must be identical across equivalent runs. A plain
+/// `analyze` without caching leaves them all zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Loads whose segment partition already matched the corpus (no
@@ -297,9 +301,8 @@ impl CacheStats {
 /// Counters of the vectorized query engine's kernels.
 ///
 /// All fields are exact counts of work performed, independent of timing
-/// and thread count — like [`BroadPhaseStats`] and [`CacheStats`] they
-/// ride inside [`MetricsTotals`] and must be identical across
-/// equivalent runs. A run that never queries leaves them all zero.
+/// and thread count, and must be identical across equivalent runs. A
+/// run that never queries leaves them all zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Queries executed (one compiled plan each).
@@ -323,12 +326,6 @@ impl KernelStats {
         self.rows_scanned += other.rows_scanned;
         self.samples += other.samples;
     }
-
-    /// `true` when no query activity was recorded at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        *self == KernelStats::default()
-    }
 }
 
 /// Metrics of one batch extraction run.
@@ -350,10 +347,6 @@ pub struct BatchMetrics {
     pub failures_by_kind: BTreeMap<String, u64>,
     /// Broad-phase work counters from Algorithm 2.
     pub broad_phase: BroadPhaseStats,
-    /// Longitudinal-cache counters (zero unless a cache-aware load ran).
-    pub cache: CacheStats,
-    /// Query-kernel counters (zero unless the query engine ran).
-    pub query: KernelStats,
     /// Wall-clock span of the whole batch, nanoseconds; 0 until set.
     pub wall_ns: u64,
 }
@@ -361,7 +354,9 @@ pub struct BatchMetrics {
 impl BatchMetrics {
     /// Records one stage timing.
     pub fn record_stage(&mut self, stage: Stage, duration: Duration) {
-        self.stages[stage.index()].record(duration);
+        if let Some(histogram) = self.stages.get_mut(stage.index()) {
+            histogram.record(duration);
+        }
     }
 
     /// Records one input file of `bytes` SVG bytes entering the pipeline.
@@ -388,7 +383,7 @@ impl BatchMetrics {
     /// The timing histogram of one stage.
     #[must_use]
     pub fn stage(&self, stage: Stage) -> &Histogram {
-        &self.stages[stage.index()]
+        self.stages.get(stage.index()).unwrap_or(&Histogram::EMPTY)
     }
 
     /// Merges a worker's metrics into this one (wall time excluded —
@@ -404,8 +399,6 @@ impl BatchMetrics {
             *self.failures_by_kind.entry(kind.clone()).or_default() += n;
         }
         self.broad_phase.merge(&other.broad_phase);
-        self.cache.merge(&other.cache);
-        self.query.merge(&other.query);
     }
 
     /// Input throughput over the run's wall time, bytes per second.
@@ -431,8 +424,8 @@ impl BatchMetrics {
     /// The timing-free projection of these metrics.
     ///
     /// Two runs over the same corpus must produce equal totals no
-    /// matter the worker count or scheduling policy; this is what the
-    /// scheduling-equivalence tests compare.
+    /// matter the worker count; this is what the scheduling-equivalence
+    /// tests compare.
     #[must_use]
     pub fn totals(&self) -> MetricsTotals {
         MetricsTotals {
@@ -441,14 +434,7 @@ impl BatchMetrics {
             snapshots_out: self.snapshots_out,
             failures_by_kind: self.failures_by_kind.clone(),
             broad_phase: self.broad_phase,
-            cache: self.cache,
-            query: self.query,
-            stage_samples: [
-                self.stages[0].count(),
-                self.stages[1].count(),
-                self.stages[2].count(),
-                self.stages[3].count(),
-            ],
+            stage_samples: Stage::ALL.map(|stage| self.stage(stage).count()),
         }
     }
 }
@@ -466,10 +452,6 @@ pub struct MetricsTotals {
     pub failures_by_kind: BTreeMap<String, u64>,
     /// Broad-phase work counters (exact counts, timing-free).
     pub broad_phase: BroadPhaseStats,
-    /// Longitudinal-cache counters (exact counts, timing-free).
-    pub cache: CacheStats,
-    /// Query-kernel counters (exact counts, timing-free).
-    pub query: KernelStats,
     /// Timing-sample counts per stage, in [`Stage::ALL`] order.
     pub stage_samples: [u64; 4],
 }
@@ -536,39 +518,6 @@ impl fmt::Display for BatchMetrics {
                     bp.grid_cells / bp.grid_builds
                 )?;
             }
-        }
-        if !self.cache.is_empty() {
-            let c = &self.cache;
-            writeln!(
-                f,
-                "  cache:     {} hit, {} miss, {} append, {} corrupt, {} stale",
-                c.hits, c.misses, c.appends, c.corrupt, c.stale
-            )?;
-            writeln!(
-                f,
-                "             {} snapshots from cache, {} appended from YAML",
-                c.snapshots_from_cache, c.snapshots_appended
-            )?;
-            if c.segments_touched > 0 || c.segments_rebuilt > 0 {
-                writeln!(
-                    f,
-                    "  segments:  {} touched, {} rebuilt",
-                    c.segments_touched, c.segments_rebuilt
-                )?;
-            }
-        }
-        if !self.query.is_empty() {
-            let q = &self.query;
-            writeln!(
-                f,
-                "  queries:   {} run, {} kernel passes",
-                q.queries, q.kernels
-            )?;
-            writeln!(
-                f,
-                "             {} snapshots, {} rows, {} samples scanned",
-                q.snapshots_scanned, q.rows_scanned, q.samples
-            )?;
         }
         if self.failures_by_kind.is_empty() {
             writeln!(f, "  failures:  none")?;

@@ -4,11 +4,10 @@
 //! pure, results carry their input index so output order never depends
 //! on worker interleaving, and all aggregates (statistics, metrics) are
 //! order-independent sums kept in per-worker locals and merged at join.
-//! Consequently a run with any worker count and either scheduling
-//! policy is byte-for-byte identical to the serial run.
+//! Consequently a run with any worker count is byte-for-byte identical
+//! to the serial run.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use wm_model::{MapKind, Timestamp, TopologySnapshot};
@@ -18,6 +17,7 @@ use crate::algorithm1::{algorithm1_into, RawObjects};
 use crate::algorithm2::{algorithm2_with, AttributionScratch, ExtractConfig};
 use crate::error::ExtractError;
 use crate::metrics::{BatchMetrics, Stage};
+use crate::runner::fold_claimed;
 
 /// Per-worker reusable storage for the whole extraction pipeline.
 ///
@@ -59,59 +59,58 @@ pub fn extract_svg_with(
     config: &ExtractConfig,
     scratch: &mut ExtractScratch,
 ) -> Result<TopologySnapshot, ExtractError> {
-    Document::parse_into(svg, &mut scratch.doc).map_err(|e| match &e {
-        wm_svg::ParseError::Xml(_) => ExtractError::InvalidXml(e.to_string()),
-        _ => ExtractError::InvalidSvg(e.to_string()),
-    })?;
-    algorithm1_into(&scratch.doc, &mut scratch.objects)?;
-    algorithm2_with(
-        &scratch.objects,
-        map,
-        timestamp,
-        config,
-        &mut scratch.attribution,
-    )
+    extract_svg_instrumented(svg, map, timestamp, config, scratch, None)
 }
 
-/// [`extract_svg`] with per-stage timings recorded into `metrics` and
-/// scratch storage reused across calls.
+/// The one per-file body: parse → Algorithm 1 → Algorithm 2, with
+/// per-stage timings recorded into `metrics` when given.
 ///
 /// A stage's duration is recorded even when it fails, so sample counts
 /// stay deterministic: every attempted file contributes exactly one
 /// sample to each stage it reached. Broad-phase work counters are drained
 /// from the scratch into `metrics` after the attribution stage.
-pub fn extract_svg_instrumented(
+fn extract_svg_instrumented(
     svg: &str,
     map: MapKind,
     timestamp: Timestamp,
     config: &ExtractConfig,
-    metrics: &mut BatchMetrics,
     scratch: &mut ExtractScratch,
+    mut metrics: Option<&mut BatchMetrics>,
 ) -> Result<TopologySnapshot, ExtractError> {
-    let start = Instant::now();
-    let parsed = Document::parse_into(svg, &mut scratch.doc);
-    metrics.record_stage(Stage::XmlParse, start.elapsed());
-    parsed.map_err(|e| match &e {
+    timed(&mut metrics, Stage::XmlParse, || {
+        Document::parse_into(svg, &mut scratch.doc)
+    })
+    .map_err(|e| match &e {
         wm_svg::ParseError::Xml(_) => ExtractError::InvalidXml(e.to_string()),
         _ => ExtractError::InvalidSvg(e.to_string()),
     })?;
-
-    let start = Instant::now();
-    let objects = algorithm1_into(&scratch.doc, &mut scratch.objects);
-    metrics.record_stage(Stage::Algorithm1, start.elapsed());
-    objects?;
-
-    let start = Instant::now();
-    let snapshot = algorithm2_with(
-        &scratch.objects,
-        map,
-        timestamp,
-        config,
-        &mut scratch.attribution,
-    );
-    metrics.record_stage(Stage::Algorithm2, start.elapsed());
-    metrics.broad_phase.merge(&scratch.attribution.take_stats());
+    timed(&mut metrics, Stage::Algorithm1, || {
+        algorithm1_into(&scratch.doc, &mut scratch.objects)
+    })?;
+    let snapshot = timed(&mut metrics, Stage::Algorithm2, || {
+        algorithm2_with(
+            &scratch.objects,
+            map,
+            timestamp,
+            config,
+            &mut scratch.attribution,
+        )
+    });
+    if let Some(metrics) = metrics {
+        metrics.broad_phase.merge(&scratch.attribution.take_stats());
+    }
     snapshot
+}
+
+/// Runs one pipeline stage, recording its wall time when metered.
+fn timed<T>(metrics: &mut Option<&mut BatchMetrics>, stage: Stage, run: impl FnOnce() -> T) -> T {
+    let Some(metrics) = metrics else {
+        return run();
+    };
+    let start = Instant::now();
+    let out = run();
+    metrics.record_stage(stage, start.elapsed());
+    out
 }
 
 /// One input file of a batch run.
@@ -160,28 +159,27 @@ impl BatchStats {
 }
 
 /// How batch work is distributed over workers.
+///
+/// Only one policy remains. The type survives because callers, the
+/// benchmark harness among them, still pass it to [`extract_batch_with`];
+/// that parameter and this type are to be removed together.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Scheduling {
-    /// Pre-split the input into one contiguous chunk per worker.
-    ///
-    /// Simple, but a worker that drew a chunk of slow files (large
-    /// maps, hostile rejects) finishes last while the others idle.
-    StaticChunk,
     /// Workers pull the next un-claimed file from a shared atomic
     /// cursor, so fast workers absorb the tail of a skewed corpus.
     #[default]
     WorkStealing,
 }
 
-/// Where successfully extracted snapshots flow during a batch run.
+/// Where successfully parsed snapshots flow during a parallel corpus
+/// pass.
 ///
 /// One sink lives per worker, accumulating that worker's share of the
-/// batch; the coordinator collects the sinks in worker order at join, so
-/// any merge a caller performs over them is independent of thread timing.
-/// `accept` receives the input index alongside the snapshot: folding the
-/// index into the sink's state is what lets a downstream merge
-/// reconstruct input order (and thus stay byte-identical across thread
-/// counts and scheduling policies).
+/// corpus; the runner returns the sinks in worker order, so any merge a
+/// caller performs over them is independent of thread timing. `accept`
+/// receives the input index alongside the snapshot: folding the index
+/// into the sink's state is what lets a downstream merge reconstruct
+/// input order (and thus stay byte-identical across thread counts).
 pub trait SnapshotSink: Send + Default {
     /// Folds the successfully extracted snapshot of input `index` into
     /// this worker's state. Called once per processed file, in the order
@@ -189,26 +187,36 @@ pub trait SnapshotSink: Send + Default {
     fn accept(&mut self, index: usize, snapshot: TopologySnapshot);
 }
 
-/// The trivial sink: collect `(index, snapshot)` pairs for a later sort.
+/// The trivial sink: collect `(index, snapshot)` pairs for
+/// [`sorted_snapshots`].
 impl SnapshotSink for Vec<(usize, TopologySnapshot)> {
     fn accept(&mut self, index: usize, snapshot: TopologySnapshot) {
         self.push((index, snapshot));
     }
 }
 
+/// Merges per-worker `Vec` sinks into one list sorted by `(timestamp,
+/// input index)` — the serial order, whatever the thread count.
+#[must_use]
+pub fn sorted_snapshots(sinks: Vec<Vec<(usize, TopologySnapshot)>>) -> Vec<TopologySnapshot> {
+    let mut results: Vec<(usize, TopologySnapshot)> = sinks.into_iter().flatten().collect();
+    results.sort_by_key(|(index, snapshot)| (snapshot.timestamp, *index));
+    results.into_iter().map(|(_, snapshot)| snapshot).collect()
+}
+
 /// A worker's private accumulator, merged by the coordinator at join.
 #[derive(Default)]
-struct WorkerOutput<S: SnapshotSink> {
-    /// Snapshots flow here together with their input index, so output
-    /// order is reconstructed from the inputs, never from worker timing.
-    sink: S,
+struct WorkerOutput {
+    /// Snapshots with their input index, so output order is
+    /// reconstructed from the inputs, never from worker timing.
+    sink: Vec<(usize, TopologySnapshot)>,
     stats: BatchStats,
     metrics: BatchMetrics,
     /// Buffers reused across every file this worker processes.
     scratch: ExtractScratch,
 }
 
-impl<S: SnapshotSink> WorkerOutput<S> {
+impl WorkerOutput {
     fn process(&mut self, index: usize, input: &BatchInput, map: MapKind, config: &ExtractConfig) {
         self.metrics.record_input(input.svg.len());
         match extract_svg_instrumented(
@@ -216,8 +224,8 @@ impl<S: SnapshotSink> WorkerOutput<S> {
             map,
             input.timestamp,
             config,
-            &mut self.metrics,
             &mut self.scratch,
+            Some(&mut self.metrics),
         ) {
             Ok(snapshot) => {
                 self.stats.processed += 1;
@@ -250,114 +258,35 @@ pub fn extract_batch(
     (snapshots, stats)
 }
 
-/// [`extract_batch`] with an explicit scheduling policy and full
-/// [`BatchMetrics`] returned alongside the stats.
+/// [`extract_batch`] with full [`BatchMetrics`] returned alongside the
+/// stats.
+///
+/// Workers claim files through [`fold_claimed`]; statistics and metrics
+/// are order-independent sums merged in worker order, and the wall time
+/// is the coordinator's span around the whole run.
 pub fn extract_batch_with(
     inputs: &[BatchInput],
     map: MapKind,
     config: &ExtractConfig,
     threads: usize,
-    scheduling: Scheduling,
+    _scheduling: Scheduling,
 ) -> (Vec<TopologySnapshot>, BatchStats, BatchMetrics) {
-    let (sinks, stats, metrics) = extract_batch_sink::<Vec<(usize, TopologySnapshot)>>(
-        inputs, map, config, threads, scheduling,
-    );
-    let mut results: Vec<(usize, TopologySnapshot)> = sinks.into_iter().flatten().collect();
-    results.sort_by_key(|(index, snapshot)| (snapshot.timestamp, *index));
-    let snapshots = results.into_iter().map(|(_, snapshot)| snapshot).collect();
-    (snapshots, stats, metrics)
-}
-
-/// The streaming core of the batch runner: extracts every input and
-/// folds the successful snapshots into one [`SnapshotSink`] per worker,
-/// returned in worker order (never in finish order).
-///
-/// This is how large corpora are consumed without materialising a
-/// `Vec<TopologySnapshot>`: a sink can intern, column-encode or discard
-/// each snapshot as it arrives. Determinism contract: per-file work is
-/// pure and each input index reaches exactly one sink exactly once, so a
-/// sink merge keyed on indices is byte-identical for any thread count
-/// and either scheduling policy. Statistics and metrics are merged here
-/// (they are order-independent sums).
-pub fn extract_batch_sink<S: SnapshotSink>(
-    inputs: &[BatchInput],
-    map: MapKind,
-    config: &ExtractConfig,
-    threads: usize,
-    scheduling: Scheduling,
-) -> (Vec<S>, BatchStats, BatchMetrics) {
-    let threads = threads.max(1).min(inputs.len().max(1));
     let started = Instant::now();
-
-    let mut outputs: Vec<WorkerOutput<S>> = if threads == 1 {
-        // Serial fast path: no spawn overhead, same code path per file.
-        let mut out = WorkerOutput::default();
-        for (index, input) in inputs.iter().enumerate() {
+    let outputs = fold_claimed(inputs.len(), threads, |out: &mut WorkerOutput, index| {
+        if let Some(input) = inputs.get(index) {
             out.process(index, input, map, config);
         }
-        vec![out]
-    } else {
-        match scheduling {
-            Scheduling::WorkStealing => {
-                let cursor = AtomicUsize::new(0);
-                run_workers(threads, |_| {
-                    let mut out = WorkerOutput::default();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(input) = inputs.get(index) else {
-                            break;
-                        };
-                        out.process(index, input, map, config);
-                    }
-                    out
-                })
-            }
-            Scheduling::StaticChunk => {
-                let chunk_size = inputs.len().div_ceil(threads).max(1);
-                run_workers(threads, |worker| {
-                    let mut out = WorkerOutput::default();
-                    let start = worker * chunk_size;
-                    let end = (start + chunk_size).min(inputs.len());
-                    for (index, input) in inputs.iter().enumerate().take(end).skip(start) {
-                        out.process(index, input, map, config);
-                    }
-                    out
-                })
-            }
-        }
-    };
-
+    });
     let mut sinks = Vec::with_capacity(outputs.len());
     let mut stats = BatchStats::default();
     let mut metrics = BatchMetrics::default();
-    for output in &mut outputs {
-        stats.merge(std::mem::take(&mut output.stats));
-        metrics.merge(&output.metrics);
-    }
     for output in outputs {
+        stats.merge(output.stats);
+        metrics.merge(&output.metrics);
         sinks.push(output.sink);
     }
     metrics.set_wall_time(started.elapsed());
-    (sinks, stats, metrics)
-}
-
-/// Runs `threads` scoped workers and collects their outputs in worker
-/// order (merge order therefore never depends on finish order).
-fn run_workers<S, F>(threads: usize, work: F) -> Vec<WorkerOutput<S>>
-where
-    S: SnapshotSink,
-    F: Fn(usize) -> WorkerOutput<S> + Sync,
-{
-    let work = &work;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| scope.spawn(move || work(worker)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    })
+    (sorted_snapshots(sinks), stats, metrics)
 }
 
 #[cfg(test)]
@@ -467,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn both_schedulings_match_and_meter_the_whole_corpus() {
+    fn parallel_metrics_match_serial_and_meter_the_whole_corpus() {
         let sim = sim();
         // NorthAmerica has the paper's year-long collection hole around
         // 2021; pick a window inside its second segment.
@@ -497,8 +426,8 @@ mod tests {
             &inputs,
             MapKind::NorthAmerica,
             &config,
-            4,
-            Scheduling::StaticChunk,
+            1,
+            Scheduling::WorkStealing,
         );
         assert_eq!(a, b);
         assert_eq!(a_stats, b_stats);

@@ -1,9 +1,9 @@
 //! Scheduling equivalence: batch extraction must be a pure function of
-//! its inputs — worker count and scheduling policy may change wall
-//! time, never results. This drives a skewed corpus (clean snapshots
-//! interleaved with ≥20% injected faults) through 1, 2 and 8 workers
-//! under both policies and demands identical snapshots, statistics and
-//! timing-free metrics totals, down to the emitted YAML bytes.
+//! its inputs — worker count may change wall time, never results. This
+//! drives a skewed corpus (clean snapshots interleaved with ≥20%
+//! injected faults) through 1, 2 and 8 workers and demands identical
+//! snapshots, statistics and timing-free metrics totals, down to the
+//! emitted YAML bytes.
 
 use ovh_weather::prelude::*;
 use ovh_weather::simulator::faults::{corrupt, FaultKind};
@@ -67,20 +67,19 @@ fn thread_count_and_policy_never_change_results() {
     let base_yaml: Vec<String> = base_snapshots.iter().map(to_yaml_string).collect();
 
     for threads in [2usize, 8] {
-        for scheduling in [Scheduling::WorkStealing, Scheduling::StaticChunk] {
-            let (snapshots, stats, metrics) =
-                extract_batch_with(&inputs, MapKind::Europe, &config, threads, scheduling);
-            let label = format!("{threads} threads, {scheduling:?}");
-            assert_eq!(snapshots, base_snapshots, "{label}: snapshots differ");
-            assert_eq!(stats, base_stats, "{label}: stats differ");
-            assert_eq!(
-                metrics.totals(),
-                base_metrics.totals(),
-                "{label}: metrics totals differ"
-            );
-            let yaml: Vec<String> = snapshots.iter().map(to_yaml_string).collect();
-            assert_eq!(yaml, base_yaml, "{label}: emitted YAML differs from serial");
-        }
+        let scheduling = Scheduling::WorkStealing;
+        let (snapshots, stats, metrics) =
+            extract_batch_with(&inputs, MapKind::Europe, &config, threads, scheduling);
+        let label = format!("{threads} threads, {scheduling:?}");
+        assert_eq!(snapshots, base_snapshots, "{label}: snapshots differ");
+        assert_eq!(stats, base_stats, "{label}: stats differ");
+        assert_eq!(
+            metrics.totals(),
+            base_metrics.totals(),
+            "{label}: metrics totals differ"
+        );
+        let yaml: Vec<String> = snapshots.iter().map(to_yaml_string).collect();
+        assert_eq!(yaml, base_yaml, "{label}: emitted YAML differs from serial");
     }
 }
 
